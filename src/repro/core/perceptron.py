@@ -67,19 +67,48 @@ class HardwareDetector:
         """Train on *raw* feature vectors; fits max-normalization unless an
         already-fitted normalizer is supplied."""
         X_raw = np.asarray(X_raw, dtype=float)
-        y = np.asarray(y, dtype=float)
         if normalizer is not None:
             self.normalizer = normalizer
         else:
             self.normalizer.fit(X_raw)
-        X = self.normalizer.transform(X_raw)
+        return self.fit_normalized(self.normalizer.transform(X_raw), y,
+                                   epochs=epochs, batch_size=batch_size,
+                                   seed=seed)
+
+    def fit_normalized(self, X, y, epochs=40, batch_size=32, seed=0,
+                       guard=None):
+        """Train on already-normalized features (the normalizer must be
+        set separately for deployment).
+
+        With a :class:`~repro.ml.resilience.TrainingGuard`, every batch
+        loss is inspected.  The guard snapshots once at the start of each
+        epoch; a trip rewinds the epoch to that snapshot (parameters,
+        optimizer moments and RNG) and replays it, so consecutive
+        retries of one epoch share the guard's ``max_rollbacks`` budget.
+        """
+        y = np.asarray(y, dtype=float)
         rng = np.random.default_rng(seed)
-        for _ in range(epochs):
-            order = rng.permutation(len(y))
-            for i in range(0, len(y), batch_size):
-                batch = order[i:i + batch_size]
-                self.net.train_batch(X[batch], y[batch])
+        if guard is not None:
+            guard.watch(stage="fit", detector=self.net)
+            guard.attach_rng(rng)
+        for epoch in range(epochs):
+            if guard is not None:
+                guard.take_snapshot(epoch)
+            while not self._fit_epoch(X, y, rng, batch_size, epoch, guard):
+                pass                          # rolled back: replay it
         return self
+
+    def _fit_epoch(self, X, y, rng, batch_size, epoch, guard):
+        """One shuffled pass over the batches; ``False`` when the guard
+        rolled it back."""
+        order = rng.permutation(len(y))
+        for i in range(0, len(y), batch_size):
+            batch = order[i:i + batch_size]
+            loss = self.net.train_batch(X[batch], y[batch])
+            if guard is not None and \
+                    guard.inspect(epoch, loss=loss) is not None:
+                return False
+        return True
 
     # -- inference -----------------------------------------------------------------
 

@@ -97,7 +97,8 @@ def build_augmented_training_set(gan, dataset, schema, samples_per_class=40):
 def fit_on_normalized(detector, X, y, epochs=40, seed=0, guard=None):
     """Train a detector directly on already-normalized features (its
     normalizer must be set separately for deployment)."""
-    return _fit_normalized(detector, X, y, epochs, seed, guard=guard)
+    return detector.fit_normalized(X, y, epochs=epochs, seed=seed,
+                                   guard=guard)
 
 
 def vaccinate(dataset, samples_per_class=40, gan_iterations=400,
@@ -194,7 +195,8 @@ def vaccinate(dataset, samples_per_class=40, gan_iterations=400,
                                 seed=seed, threshold=threshold, name="evax")
     detector.normalizer = norm_full
     with time_block("vaccinate.fit.seconds"):
-        _fit_normalized(detector, X_aug, y_aug, epochs, seed, guard=guard)
+        detector.fit_normalized(X_aug, y_aug, epochs=epochs, seed=seed,
+                                guard=guard)
     # --- 5. tune the operating point on the real benign windows ----------------
     obs_event("vaccinate.stage", stage="calibrate")
     with time_block("vaccinate.calibrate.seconds"):
@@ -210,34 +212,3 @@ def vaccinate(dataset, samples_per_class=40, gan_iterations=400,
         style_history=list(gan.style_history),
         generated_counts=generated_counts,
     )
-
-
-def _fit_normalized(detector, X, y, epochs, seed, guard=None):
-    """Train a detector directly on already-normalized features (its
-    normalizer must be fitted separately for deployment).
-
-    When a :class:`~repro.ml.resilience.TrainingGuard` is given, every
-    batch loss is inspected; an anomalous epoch is rewound to its start
-    (parameters, optimizer moments and RNG restored) and retried.
-    """
-    rng = np.random.default_rng(seed)
-    y = np.asarray(y, dtype=float)
-    if guard is not None:
-        guard.watch(stage="fit", detector=detector.net)
-        guard.attach_rng(rng)
-    epoch = 0
-    while epoch < epochs:
-        if guard is not None:
-            guard.take_snapshot(epoch)
-        order = rng.permutation(len(y))
-        rewound = False
-        for i in range(0, len(y), 32):
-            batch = order[i:i + 32]
-            loss = detector.net.train_batch(X[batch], y[batch])
-            if guard is not None and \
-                    guard.inspect(epoch, loss=loss) is not None:
-                rewound = True        # epoch replays from restored state
-                break
-        if not rewound:
-            epoch += 1
-    return detector

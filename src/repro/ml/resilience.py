@@ -36,6 +36,15 @@ LOSS_DIVERGENCE = "loss_divergence"    # loss detached from its EMA
 
 TRAINING_FAILURE_KINDS = (NAN, GRAD_SPIKE, LOSS_DIVERGENCE)
 
+#: floor (nats) under the loss EMA in the divergence test, so a
+#: converged run trips only above ``loss_factor`` x 0.1 (2.5 nats at the
+#: default factor).  A converged detector fit holds its EMA near 0.01,
+#: where a batch with a misclassified window costs 0.15-0.68 nats --
+#: below the 0.69 of a coin flip, yet over 25x the EMA.  The largest
+#: batch loss of a healthy fit is about 0.8, so 2.5 leaves ~3x headroom;
+#: NaNs, gradient spikes and runaway weights have checks of their own.
+LOSS_EMA_FLOOR = 0.1
+
 #: guard reaction policies
 POLICY_ROLLBACK = "rollback"
 POLICY_CLIP = "clip"
@@ -173,16 +182,17 @@ class TrainingGuard:
     policy:
         ``rollback`` (default) — restore the last in-memory snapshot
         (parameters, optimizer moments *and* RNG state), perturb the RNG
-        by one draw so the retry takes a different path, and rewind the
-        loop; after ``max_rollbacks`` consecutive failures raise
+        by *k* draws for the *k*-th consecutive retry from that snapshot
+        so every retry takes a different path, and rewind the loop;
+        after ``max_rollbacks`` consecutive failures raise
         :class:`TrainingDivergedError`.
         ``clip`` — sanitize parameters in place (non-finite -> 0,
         magnitude clipped) and keep going.
         ``raise`` — fail fast on the first anomaly.
     loss_window / loss_factor:
         A loss is divergent when it exceeds ``loss_factor`` times the
-        exponential moving average over the last ``loss_window`` steps
-        (and the EMA is established).
+        exponential moving average over the last ``loss_window`` steps,
+        floored at :data:`LOSS_EMA_FLOOR` (and the EMA is established).
     grad_limit:
         Largest tolerated absolute gradient entry.
     param_limit:
@@ -286,7 +296,7 @@ class TrainingGuard:
                                         f"{name} (limit {self.grad_limit:g})")
         if loss is not None and self._ema is not None and \
                 self._ema_steps >= self.loss_window and \
-                loss > self.loss_factor * max(self._ema, 1e-12):
+                loss > self.loss_factor * max(self._ema, LOSS_EMA_FLOOR):
             return LOSS_DIVERGENCE, (f"loss {loss:.3g} vs EMA "
                                      f"{self._ema:.3g} "
                                      f"(factor {self.loss_factor:g})")
@@ -340,9 +350,11 @@ class TrainingGuard:
                 kind=kind, step=step, stage=self.stage)
         self._restore_snapshot()
         if self._rng is not None:
-            # the "reseeded step": nudge the random sequence so the
-            # retry does not replay the exact trajectory that diverged
-            self._rng.integers(0, 2 ** 31)
+            # the "reseeded step": the k-th consecutive retry from this
+            # snapshot skips k draws, so it replays neither the
+            # trajectory that diverged nor any earlier retry
+            for _ in range(self._rollbacks_since_progress):
+                self._rng.integers(0, 2 ** 31)
         reg.inc("guard.rollbacks")
         obs_event("guard.rollback", level="warn", stage=self.stage,
                   step=step, to_step=self._snapshot_step, kind=kind)

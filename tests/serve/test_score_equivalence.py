@@ -94,6 +94,10 @@ def test_raw_matrix_matches_raw_vector():
     matrix = schema.raw_matrix(X)
     for i in range(len(X)):
         assert np.array_equal(matrix[i], schema.raw_vector(X[i]))
+    # the Dataset path: windows as lists of integer deltas
+    windows = X.astype(int).tolist()
+    assert np.array_equal(schema.matrix(windows), np.vstack(
+        [schema.raw_vector(w) for w in windows]))
 
 
 def test_raw_matrix_rejects_vectors():
