@@ -44,8 +44,9 @@ def test_deep_detector_still_batches():
 def test_end_to_end_service_throughput():
     """The full service — queueing, batch assembly, per-tenant
     controllers, latency bookkeeping — around the batched kernel.
-    Measured ~50-90k windows/s; the 5k floor is ~10x the throughput
-    the unbatched seed path managed end to end."""
+    Measured ~85-105k windows/s on one pinned CPU of a 2-core x86_64
+    host; the 5k floor is ~10x the throughput the unbatched seed path
+    managed end to end."""
     streams = synthetic_streams(8, seed=0)
     config = ServeConfig(duration=512, batch_window=1024, queue_limit=8192)
     service, report = run_serve(demo_detector(seed=0), streams,

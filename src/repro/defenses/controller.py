@@ -24,9 +24,26 @@ import math
 from repro.obs import metrics, obs_event
 from repro.sim.config import DefenseMode
 
+# cached instrument handles: the controller decides once per sampling
+# window, and a served tenant pays this per window too, so each event
+# is one attribute increment instead of a registry name lookup
+_REG = metrics()
+_WINDOWS_TOTAL = _REG.counter("adaptive.windows.total")
+_WINDOWS_SECURE = _REG.counter("adaptive.windows.secure")
+_FLAGS = _REG.counter("adaptive.flags")
+_SECURE_ENTRIES = _REG.counter("adaptive.secure.entries")
+_SECURE_EXITS = _REG.counter("adaptive.secure.exits")
+_DETECTOR_ERRORS = _REG.counter("adaptive.detector.errors")
+_LATCHES = _REG.counter("adaptive.fail_secure.latches")
+
 
 class SecureModeController:
     """Wire into :class:`repro.sim.Machine` as its ``detector_hook``.
+
+    One window state machine, two entry points: :meth:`__call__` runs
+    the detector inline (the simulated core's hook), and :meth:`decide`
+    takes a verdict scored elsewhere (the serving layer's batched
+    path).  Both advance the same state through the same code.
 
     Parameters
     ----------
@@ -82,67 +99,87 @@ class SecureModeController:
 
     def _latch(self, machine, reason, detail):
         """Detector health violation: fail secure, permanently."""
-        reg = metrics()
         self.detector_errors += 1
-        reg.inc("adaptive.detector.errors")
+        _DETECTOR_ERRORS.inc()
         if not self.fail_secure:
             raise RuntimeError(
                 f"detector health violation ({reason}): {detail}")
         if not self.latched:
             self.latched = True
             self.latch_reason = f"{reason}: {detail}"
-            reg.inc("adaptive.fail_secure.latches")
+            _LATCHES.inc()
             obs_event("adaptive.fail_secure", level="error",
                       reason=reason, detail=str(detail))
         self.active = True
         self.secure_until = float("inf")
         machine.set_defense(self.secure_mode)
 
+    # -- the window state machine -------------------------------------------
+
     def __call__(self, machine, sample):
-        reg = metrics()
-        self.windows_total += 1
-        reg.inc("adaptive.windows.total")
+        """``detector_hook`` entry: validate the window, consult
+        ``detector_fn``, then :meth:`decide`.  A latched controller
+        never consults the detector again."""
         if self.latched:
-            # fail-secure latch: every remaining window runs mitigated;
-            # the wedged detector is not consulted again
-            self.windows_secure += 1
-            reg.inc("adaptive.windows.secure")
-            return False
-        counted_secure = self.active
-        if self.active:
-            self.windows_secure += 1
-            reg.inc("adaptive.windows.secure")
-            if sample.commit_index >= self.secure_until:
-                self.active = False
-                machine.set_defense(DefenseMode.NONE)
-                reg.inc("adaptive.secure.exits")
-                obs_event("adaptive.secure_exit", level="debug",
-                          commit_index=sample.commit_index)
+            return self.decide(machine, sample.commit_index, False)
         try:
             self._validate_sample(sample)
             verdict = self.detector_fn(sample)
             if isinstance(verdict, float) and not math.isfinite(verdict):
                 raise ValueError(f"non-finite detector score {verdict!r}")
-            flagged = bool(verdict)
         # the documented fail-secure latch path: ANY detector fault —
         # not a foreseen subset — must flip the machine into permanent
-        # secure mode (docs/training_resilience.md, "fail-secure")
+        # secure mode (docs/training_resilience.md, "fail-secure");
+        # decide() latches on the fault it is handed
         except Exception as exc:  # repro-lint: disable=broad-except
-            self._latch(machine, type(exc).__name__, exc)
+            return self.decide(machine, sample.commit_index, False, exc)
+        return self.decide(machine, sample.commit_index, bool(verdict))
+
+    def decide(self, machine, commit_index, flagged, fault=None):
+        """Advance one window on a verdict already computed elsewhere.
+
+        ``flagged`` is the window's verdict; ``fault`` (an exception
+        instance) is a detector health violation attributed to this
+        window: it overrides the verdict and latches the controller
+        exactly as a fault raised inside :meth:`__call__` does.
+        Returns ``True`` when the window flagged.
+
+        The batched serving path calls this directly, one window at a
+        time, so its verdicts, counters and events match the inline hook.
+        """
+        self.windows_total += 1
+        _WINDOWS_TOTAL.inc()
+        if self.latched:
+            # fail-secure latch: every remaining window runs mitigated
+            self.windows_secure += 1
+            _WINDOWS_SECURE.inc()
+            return False
+        counted_secure = self.active
+        if counted_secure:
+            self.windows_secure += 1
+            _WINDOWS_SECURE.inc()
+            if commit_index >= self.secure_until:
+                self.active = False
+                machine.set_defense(DefenseMode.NONE)
+                _SECURE_EXITS.inc()
+                obs_event("adaptive.secure_exit", level="debug",
+                          commit_index=commit_index)
+        if fault is not None:
+            self._latch(machine, type(fault).__name__, fault)
             if not counted_secure:   # the faulted window itself runs secure
                 self.windows_secure += 1
-                reg.inc("adaptive.windows.secure")
+                _WINDOWS_SECURE.inc()
             return False
         if flagged:
             self.flags += 1
-            reg.inc("adaptive.flags")
-            self.secure_until = sample.commit_index + self.secure_window
+            _FLAGS.inc()
+            self.secure_until = commit_index + self.secure_window
             if not self.active:
                 self.active = True
                 machine.set_defense(self.secure_mode)
-                reg.inc("adaptive.secure.entries")
+                _SECURE_ENTRIES.inc()
                 obs_event("adaptive.secure_enter",
-                          commit_index=sample.commit_index,
+                          commit_index=commit_index,
                           mode=getattr(self.secure_mode, "value",
                                        str(self.secure_mode)))
         return flagged

@@ -6,8 +6,8 @@ re-arm, fail-secure latch — is per tenant and must keep exactly the
 semantics of :class:`repro.defenses.controller.SecureModeController`
 that the adaptive architecture runs on a real core.  This module
 provides that bridge: one genuine ``SecureModeController`` per tenant,
-driven by precomputed batch verdicts instead of an inline detector
-call.
+driven through :meth:`SecureModeController.decide` by precomputed batch
+verdicts instead of an inline detector call.
 
 Isolation is the point.  Each tenant owns its controller and its
 virtual core; a poisoned window, a non-finite score, or a detector
@@ -37,32 +37,6 @@ class VirtualCore:
         self.defense = mode
 
 
-class _WindowDecision:
-    """One window's precomputed outcome, shaped like a sampler window.
-
-    ``deltas`` stays empty on purpose: the batch path has already
-    validated the raw window vectorized (finiteness, width), so the
-    controller's per-element Python re-validation would only re-pay the
-    cost batching removed.  An input fault is delivered as ``fault``
-    instead and reaches the controller through the detector-fn raise
-    path — the same watchdog, the same latch.
-    """
-
-    __slots__ = ("commit_index", "deltas", "verdict", "fault")
-
-    def __init__(self, commit_index, verdict, fault=None):
-        self.commit_index = commit_index
-        self.deltas = []
-        self.verdict = verdict
-        self.fault = fault
-
-    def __call__(self, sample):
-        """Stand in as the controller's ``detector_fn``."""
-        if self.fault is not None:
-            raise self.fault
-        return self.verdict
-
-
 class TenantSlot:
     """One tenant's controller + virtual core + serving bookkeeping."""
 
@@ -80,12 +54,13 @@ class TenantSlot:
 
         Returns ``True`` when the controller flagged the window.  A
         ``fault`` (an exception instance) takes the controller's
-        fail-secure raise path and latches this tenant permanently.
+        fail-secure path and latches this tenant permanently.  The
+        batch path has already validated the raw window vectorized
+        (finiteness, width), so no per-element re-validation runs here.
         """
-        decision = _WindowDecision(commit_index, verdict, fault)
-        self.controller.detector_fn = decision
         self.windows += 1
-        return self.controller(self.core, decision)
+        return self.controller.decide(self.core, commit_index, verdict,
+                                      fault)
 
     def shed_window(self, commit_index):
         """Conservative fallback for an unscored (shed) window.

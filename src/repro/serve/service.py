@@ -31,7 +31,7 @@ Design rules, in order:
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,36 +65,32 @@ class LatencyReservoir:
 
     Bounded (``cap`` samples) so a long-running service cannot grow
     memory without limit; overflow is counted, not silently dropped.
+    The samples are sorted once per read-out, not once per percentile.
     """
 
     def __init__(self, cap=200_000):
         self.cap = cap
         self.samples = []
         self.overflow = 0
+        self._ordered = None
 
     def observe(self, seconds):
-        if len(self.samples) < self.cap:
-            self.samples.append(seconds)
-        else:
-            self.overflow += 1
+        """Record one latency, or a batch of them as an array."""
+        values = np.atleast_1d(seconds)
+        room = max(0, self.cap - len(self.samples))
+        self.samples.extend(values[:room].tolist())
+        self.overflow += max(0, len(values) - room)
+        self._ordered = None
 
     def percentile_ms(self, p):
         """Nearest-rank percentile, in milliseconds (0.0 when empty)."""
         if not self.samples:
             return 0.0
-        ordered = sorted(self.samples)
+        if self._ordered is None:
+            self._ordered = sorted(self.samples)
+        ordered = self._ordered
         rank = max(1, int(np.ceil(p / 100.0 * len(ordered))))
         return ordered[rank - 1] * 1000.0
-
-
-@dataclass
-class _Pending:
-    """One queued window awaiting a batch slot."""
-
-    tenant: str
-    commit_index: int
-    window: object
-    enqueued_at: float = field(default=0.0)
 
 
 class DetectionService:
@@ -132,6 +128,8 @@ class DetectionService:
         self._m_batches = reg.counter("serve.batches")
         self._m_batch_s = reg.timer("serve.batch.seconds")
         self._m_faults = reg.counter("serve.detector.faults")
+        self._m_depth = reg.gauge("serve.queue.depth")
+        self._m_peak = reg.gauge("serve.queue.peak")
 
     # -- ingest ------------------------------------------------------------
 
@@ -141,21 +139,22 @@ class DetectionService:
 
     def submit(self, tenant, commit_index, window):
         """Queue one window, or shed it into secure mode on overflow."""
-        if len(self._queue) >= self.config.queue_limit:
+        queue = self._queue
+        depth = len(queue)
+        if depth >= self.config.queue_limit:
             self.n_shed += 1
             self._m_shed.inc()
             slot = self.fanout.slot(tenant)
             slot.shed_window(commit_index)
             obs_event("serve.shed", level="warn", tenant=tenant,
-                      commit_index=commit_index, depth=len(self._queue))
+                      commit_index=commit_index, depth=depth)
             self._note_latch(slot)
             return False
-        self._queue.append(_Pending(tenant, commit_index, window,
-                                    time.perf_counter()))
+        queue.append((tenant, commit_index, window, time.perf_counter()))
         self.n_ingested += 1
         self._m_ingested.inc()
-        if len(self._queue) > self.queue_peak:
-            self.queue_peak = len(self._queue)
+        if depth >= self.queue_peak:
+            self.queue_peak = depth + 1
         return True
 
     # -- scoring -----------------------------------------------------------
@@ -164,8 +163,9 @@ class DetectionService:
         """Score a batch; on a batch-level detector exception, fall back
         to per-window scoring so the fault is attributed to the row that
         caused it (rows are bit-identical either way — the scoring
-        pipeline is batch-size-invariant per row)."""
-        faults = [None] * len(X)
+        pipeline is batch-size-invariant per row).  Returns the scores
+        and a ``{row: exception}`` dict of the rows that raised."""
+        faults = {}
         try:
             return self.detector.score_batch(X), faults
         # the whole point of the fallback: ANY detector blow-up must be
@@ -184,6 +184,26 @@ class DetectionService:
                     faults[i] = exc
             return scores, faults
 
+    @staticmethod
+    def _window_faults(X, scores, raised):
+        """``{row: fault}`` for every window that cannot be decided on
+        its score.  A row's detector exception takes precedence, then a
+        non-finite input, then a non-finite score; the finite checks run
+        vectorized over the whole batch."""
+        finite_in = np.isfinite(X).all(axis=1)
+        faults = dict(raised)
+        suspect = np.flatnonzero(~(finite_in & np.isfinite(scores)))
+        for i in suspect.tolist():
+            if i in faults:
+                continue
+            if not finite_in[i]:
+                faults[i] = ValueError(
+                    "non-finite counter delta in sampling window")
+            else:
+                faults[i] = ValueError(
+                    f"non-finite detector score {scores[i]!r}")
+        return faults
+
     def _note_latch(self, slot):
         if slot.latched and slot.tenant not in self._latched_reported:
             self._latched_reported.add(slot.tenant)
@@ -195,47 +215,43 @@ class DetectionService:
     def process_batch(self):
         """Coalesce up to ``batch_window`` queued windows into one
         matrix-matrix scoring pass and apply per-tenant decisions."""
-        take = min(len(self._queue), self.config.batch_window)
+        queue = self._queue
+        take = min(len(queue), self.config.batch_window)
         if not take:
             return 0
-        items = [self._queue.popleft() for _ in range(take)]
-        X = np.stack([item.window for item in items])
-        finite = np.isfinite(X).all(axis=1)
+        tenants, commits, windows, enqueued = zip(
+            *[queue.popleft() for _ in range(take)])
+        X = np.array(windows)
         with self._m_batch_s.time():
-            scores, faults = self._score(X)
-        score_finite = np.isfinite(scores)
-        flags = scores >= self.threshold
+            scores, raised = self._score(X)
         now = time.perf_counter()
-        for i, item in enumerate(items):
-            fault = faults[i]
-            if fault is None and not finite[i]:
-                fault = ValueError(
-                    "non-finite counter delta in sampling window")
-            elif fault is None and not score_finite[i]:
-                fault = ValueError(
-                    f"non-finite detector score {scores[i]!r}")
-            slot = self.fanout.slot(item.tenant)
-            flagged = slot.apply(item.commit_index,
-                                 bool(flags[i]) if fault is None else False,
-                                 fault=fault)
+        faults = self._window_faults(X, scores, raised)
+        flags = (scores >= self.threshold).tolist()
+        record = self.record
+        if record is not None:
+            score_values = scores.tolist()
+        slot_of = self.fanout.slot
+        for i, tenant in enumerate(tenants):
+            slot = slot_of(tenant)
+            fault = faults.get(i)
+            flagged = slot.apply(commits[i], flags[i], fault)
             if fault is not None:
                 self.n_faults += 1
                 self._m_faults.inc()
                 obs_event("serve.detector_fault", level="error",
-                          tenant=item.tenant, kind=type(fault).__name__)
+                          tenant=tenant, kind=type(fault).__name__)
                 self._note_latch(slot)
-            if self.record is not None:
-                self.record.setdefault(item.tenant, []).append(
-                    (item.commit_index, float(scores[i]), bool(flagged)))
-            self.latency.observe(now - item.enqueued_at)
+            if record is not None:
+                record.setdefault(tenant, []).append(
+                    (commits[i], score_values[i], flagged))
+        self.latency.observe(now - np.array(enqueued))
         self.n_scored += take
         self._m_scored.inc(take)
         self.n_batches += 1
         self._m_batches.inc()
         self.batch_sizes[take] = self.batch_sizes.get(take, 0) + 1
-        reg = metrics()
-        reg.set_gauge("serve.queue.depth", len(self._queue))
-        reg.set_gauge("serve.queue.peak", self.queue_peak)
+        self._m_depth.set(len(queue))
+        self._m_peak.set(self.queue_peak)
         return take
 
     def drain(self):

@@ -1,9 +1,13 @@
 """Defense policies and the secure-mode controller."""
 
+import pytest
+
 from repro.defenses import (
     DEFENSE_CONFIGS, DefensePolicy, SecureModeController, measure_overhead,
     run_workload,
 )
+from repro.defenses.fanout import TenantSlot, VirtualCore
+from repro.obs import metrics
 from repro.sim.config import DefenseMode
 from repro.sim.sampler import Sample
 from repro.workloads import all_workloads
@@ -153,6 +157,104 @@ class TestFailSecure:
         assert ctrl.latched
         assert ctrl.windows_total == 5
         assert ctrl.windows_secure == 3  # the faulted window + both after
+
+
+class TestEntryPointEquivalence:
+    """``__call__`` (the inline detector hook) and ``TenantSlot.apply``
+    (a precomputed verdict, as the serving path delivers it) drive one
+    state machine: the same script must decide the same way, window by
+    window."""
+
+    STATE = ("flags", "windows_secure", "windows_total", "active",
+             "secure_until", "latched", "latch_reason", "detector_errors")
+
+    @staticmethod
+    def _script(fault, while_secure):
+        """``(commit_index, outcome)`` pairs for a 500-instruction
+        secure window; ``outcome`` is a verdict or a fault kind."""
+        other = "raise" if fault == "nan" else "nan"
+        script = [
+            (100, False),
+            (200, True),        # flag: secure until 700
+            (400, True),        # re-arm: secure until 900
+            (600, False),       # still secure
+            (900, False),       # expiry exactly at secure_until
+            (1000, False),
+        ]
+        if while_secure:
+            script.append((1100, True))
+        script += [
+            (1200, fault),      # latches
+            (1300, True),       # after the latch: runs secure, unflagged
+            (1400, other),
+            (50_000, False),
+        ]
+        return script
+
+    @staticmethod
+    def _adaptive_counters():
+        counters = metrics().snapshot()["counters"]
+        return {k: v for k, v in counters.items()
+                if k.startswith("adaptive.")}
+
+    def _drive(self, script, step, controller, core):
+        before = self._adaptive_counters()
+        trace = []
+        for commit_index, outcome in script:
+            returned = step(commit_index, outcome)
+            trace.append((returned, core.defense,
+                          tuple(getattr(controller, k) for k in self.STATE)))
+        after = self._adaptive_counters()
+        return trace, {k: after[k] - before.get(k, 0) for k in after}
+
+    @pytest.mark.parametrize("while_secure", [False, True])
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    def test_call_and_apply_decide_identically(self, fault, while_secure):
+        script = self._script(fault, while_secure)
+        outcomes = dict(script)
+
+        def scripted(sample):
+            outcome = outcomes[sample.commit_index]
+            if outcome == "raise":
+                raise RuntimeError("detector wedged")
+            if outcome == "nan":
+                return float("nan")
+            return outcome
+
+        inline = SecureModeController(scripted, DefenseMode.FENCE_SPECTRE,
+                                      secure_window=500)
+        machine = VirtualCore()
+        inline_trace, inline_deltas = self._drive(
+            script, lambda c, _: inline(machine, window(c)),
+            inline, machine)
+
+        def precomputed(commit_index, outcome):
+            if outcome == "raise":
+                return slot.apply(commit_index, False,
+                                  RuntimeError("detector wedged"))
+            if outcome == "nan":
+                return slot.apply(commit_index, False, ValueError(
+                    f"non-finite detector score {float('nan')!r}"))
+            return slot.apply(commit_index, outcome)
+
+        slot = TenantSlot("t0", DefenseMode.FENCE_SPECTRE, 500)
+        slot_trace, slot_deltas = self._drive(
+            script, precomputed, slot.controller, slot.core)
+
+        assert slot_trace == inline_trace
+        assert slot_deltas == inline_deltas
+        # the script really exercised every transition
+        defense_at = {commit: defense for (commit, _), (_, defense, _)
+                      in zip(script, inline_trace)}
+        assert defense_at[600] is DefenseMode.FENCE_SPECTRE
+        assert defense_at[900] is DefenseMode.NONE    # expiry is inclusive
+        returned = [r for r, _, _ in inline_trace]
+        assert returned.count(True) == (3 if while_secure else 2)
+        assert inline_deltas["adaptive.secure.exits"] == 1
+        assert inline_deltas["adaptive.fail_secure.latches"] == 1
+        assert inline_deltas["adaptive.detector.errors"] == 1
+        assert inline.latched and inline.detector_errors == 1
+        assert machine.defense is DefenseMode.FENCE_SPECTRE
 
 
 class TestPolicies:
