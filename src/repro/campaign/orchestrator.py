@@ -33,14 +33,19 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.attacks import ATTACKS_BY_NAME
 from repro.campaign.cache import CellCache
 from repro.campaign.spec import ATTACK, CampaignSpec
+from repro.data.dataset import collect_source
 from repro.obs import metrics, obs_event
 from repro.obs.context import current_run_id, record_lineage
 from repro.runtime import (
-    CACHE_CORRUPT, CampaignError, CellCorruptError, Task, TaskRunner,
-    atomic_write_bytes,
+    CACHE_CORRUPT, CampaignError, CellCorruptError, DivergentTraceError,
+    Task, TaskRunner, atomic_write_bytes, chaos_kill_self,
 )
+from repro.sim import SimConfig
+from repro.sim.config import DefenseMode
+from repro.workloads import WORKLOAD_BUILDERS, Workload
 
 #: bumped when the campaign manifest layout changes incompatibly
 CAMPAIGN_SCHEMA = "repro.campaign/1"
@@ -63,18 +68,13 @@ def run_cell(payload, attempt=1):
     ``payload`` is ``(config, kill_attempts)`` where ``config`` is the
     cell's canonical config dict; returns the cell's small, canonical
     result payload (counters digest included, so bit-identity between
-    runs is checkable from the cache alone).
+    runs is checkable from the cache alone).  Everything it runs is
+    imported at module top, so a worker forked from the campaign
+    process inherits those modules instead of importing them per cell.
     """
     config, kill_attempts = payload
     if attempt <= kill_attempts:
-        from repro.runtime.chaos import chaos_kill_self
         chaos_kill_self()
-    from repro.attacks import ATTACKS_BY_NAME
-    from repro.data.dataset import collect_source
-    from repro.sim import SimConfig
-    from repro.sim.config import DefenseMode
-    from repro.workloads import WORKLOAD_BUILDERS, Workload
-
     if config["kind"] == ATTACK:
         source = ATTACKS_BY_NAME[config["name"]](seed=config["seed"])
         label = 1
@@ -104,7 +104,6 @@ def run_cell(payload, attempt=1):
 def validate_cell_result(value):
     """Structural check run in the parent on every completed cell; a
     rejection classifies the attempt ``divergent``."""
-    from repro.runtime.errors import DivergentTraceError
     if not isinstance(value, dict):
         raise DivergentTraceError(
             f"cell returned {type(value).__name__}, expected dict")

@@ -615,7 +615,16 @@ class O3Core:
         lsq.cacheBlocked, lsq.blockedLoads) fires identically.  Entries
         that issued or were squashed are pruned lazily here; a mid-walk
         squash (memory-order violation inside ``_execute``) cannot mutate
-        the list, only invalidate entries via ``entries_by_seq``.
+        the list, only flip the squashed entries' ``state``, which the
+        walk checks before anything else.
+
+        The walk stops at the first candidate younger than the oldest
+        in-flight FENCE (or, under FENCE_SPECTRE, the oldest unresolved
+        branch).  That is exact: nothing issues after it, so the gate's
+        head cannot change, and every later candidate is younger still
+        (the list is seq-sorted) and would be skipped without bumping a
+        counter.  LFENCE and FENCE_FUTURISTIC hold only loads, so a held
+        candidate there does not end the walk.
         """
         ready = self._ready
         if not ready:
@@ -648,13 +657,13 @@ class O3Core:
             # form), in its exact check order — _load_may_issue bumps
             # lsq.blockedLoads, so it must stay behind the defense gates
             if fences and fences[0].seq < seq:
-                continue
+                break                  # held, and so is every younger one
             is_load = entry.is_load
             if is_load and lfences and lfences[0].seq < seq:
                 continue
             if spectre_fence:
                 if unresolved and unresolved[0].seq < seq:
-                    continue
+                    break
             elif futuristic_fence and is_load \
                     and self._has_older_incomplete(entry):
                 continue

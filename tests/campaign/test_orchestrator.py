@@ -19,6 +19,7 @@ from repro.runtime.chaos import (
     CACHE_CORRUPT_FAULT, CACHE_TRUNCATE_FAULT, WORKER_KILL_FAULT,
     CampaignChaos, CampaignFault,
 )
+from tests.test_crash_consistency import _run_child
 
 
 def _spec(**overrides):
@@ -260,3 +261,23 @@ def test_campaign_result_summary_lists_holes():
     assert "1/3 cells" in text
     assert "timeout=1" in text and "exceeded 5s" in text
     assert result.exit_code == 1
+
+
+def test_cell_workers_inherit_every_import():
+    """``repro campaign`` forks its cell workers from a process that has
+    imported ``repro.cli`` and ``repro.campaign``.  A module the worker
+    still had to import would be imported again in every forked cell."""
+    configs = [cell.config() for cell in _spec(
+        workloads=(), attacks=("meltdown",), defenses=("fence-spectre",),
+        seeds=(0,), tenancies=("single", "smt")).expand()]
+    proc = _run_child(f"""
+        import json, sys
+        import repro.cli
+        import repro.campaign
+        before = set(sys.modules)
+        for config in json.loads({json.dumps(configs)!r}):
+            repro.campaign.run_cell((config, 0))
+        print(json.dumps(sorted(set(sys.modules) - before)))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -28,6 +28,10 @@ def _counter_stream(core_cls, program, config, sample_period=500,
     machine = Machine(program, config, sample_period=sample_period,
                       core_cls=core_cls)
     machine.run(max_cycles=max_cycles)
+    return _stream_of(machine)
+
+
+def _stream_of(machine):
     return {
         "sampler_deltas": tuple(tuple(s.deltas)
                                 for s in machine.sampler.samples),
@@ -109,3 +113,94 @@ def test_icache_eviction_does_not_crash():
         machine.run(max_cycles=200_000)
         assert machine.cpu.halt_reason == "halt"
         assert machine.counters.get("icache.replacements") > 0
+
+
+# -- the issue walk stops at the first held candidate -------------------------
+
+class _CountingReady(list):
+    """A ready list that counts the entries the issue walk visits."""
+
+    visits = 0
+
+    def __iter__(self):
+        for entry in list.__iter__(self):
+            self.visits += 1
+            yield entry
+
+
+def _fence_held_program():
+    """A cold load, a FENCE, then 24 operand-ready movis that the FENCE
+    holds until the load commits."""
+    b = ProgramBuilder("fence-held")
+    b.movi(1, 0x600000)
+    b.load(2, 1, 0)            # cold line: DRAM latency
+    b.fence()
+    for i in range(24):
+        b.movi(3 + i % 12, i)
+    b.halt()
+    return b.build()
+
+
+def _branch_held_program():
+    """24 operand-ready movis behind a branch on a chain of eight DIVs:
+    under FENCE_SPECTRE the unresolved branch holds them."""
+    b = ProgramBuilder("branch-held")
+    b.movi(1, 1 << 40)
+    b.movi(2, 3)
+    b.div(3, 1, 2)
+    for _ in range(7):
+        b.div(3, 3, 2)
+    b.beq(3, 0, "end")
+    for i in range(24):
+        b.movi(4 + i % 11, i)
+    b.label("end")
+    b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("build, mode", [
+    (_fence_held_program, DefenseMode.NONE),
+    (_branch_held_program, DefenseMode.FENCE_SPECTRE),
+], ids=["fence", "fence-spectre-branch"])
+def test_issue_walk_stops_at_the_first_held_candidate(build, mode):
+    """A candidate younger than the oldest FENCE (or, under FENCE_SPECTRE,
+    the oldest unresolved branch) ends the walk: everything after it in
+    the seq-sorted ready list is younger and held too.  Walking on would
+    visit every held movi each cycle; stopping visits about one."""
+    machine = Machine(build(), SimConfig(defense=mode), sample_period=10)
+    cpu = machine.cpu
+    ready = cpu._ready = _CountingReady()
+    issue = cpu._issue
+    walks = 0
+
+    def counted_issue(cycle):
+        nonlocal walks
+        if ready:
+            walks += 1
+        issue(cycle)
+
+    cpu._issue = counted_issue
+    machine.run(max_cycles=20_000)
+    assert walks > 100          # the hold lasts long enough to measure
+    assert ready.visits <= 2 * walks
+    assert _stream_of(machine) == _counter_stream(
+        ReferenceO3Core, build(), SimConfig(defense=mode),
+        sample_period=10, max_cycles=20_000)
+
+
+def test_issue_walk_goes_past_an_lfence_held_load():
+    """LFENCE holds only loads, so a held load must not end the walk: the
+    RDTSC behind it issues at once instead of after the cold load."""
+    b = ProgramBuilder("lfence-held")
+    b.movi(1, 0x600000)
+    b.rdtsc(3)
+    b.load(4, 1, 0)            # cold line: DRAM latency
+    b.lfence()
+    b.load(5, 0, 0x9000)       # operand-ready, held by the LFENCE
+    b.rdtsc(6)
+    b.sub(7, 6, 3)
+    b.halt()
+    program = b.build()
+    result = Machine(program, SimConfig(), sample_period=10).run()
+    assert result.regs[7] < 30
+    _assert_bit_identical(program, SimConfig(), sample_period=10)

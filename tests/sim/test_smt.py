@@ -1,9 +1,13 @@
 """SMT co-tenancy: correctness, global lattice, determinism, oracle."""
 
+import pytest
+
+from repro.attacks import ATTACKS_BY_NAME
 from repro.sim import CounterBank, ProgramBuilder, SimConfig, SMTMachine
 from repro.sim.config import DefenseMode
 from repro.sim.memo import GLOBAL_MEMO_TABLE
 from repro.sim.reference import ReferenceO3Core
+from repro.workloads import WORKLOAD_BUILDERS
 
 
 def _counter_prog(n, result_addr, name="count"):
@@ -138,6 +142,24 @@ class TestDeterminismAndOracle:
         ref = _smt(core_cls=ReferenceO3Core,
                    config=cfg2).run(max_cycles=300_000)
         assert _stream(fast) == _stream(ref)
+
+    @pytest.mark.parametrize("mode", list(DefenseMode),
+                             ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("attack", ["meltdown", "spectre-pht"])
+    def test_campaign_smt_cell_matches_reference(self, attack, mode):
+        """A campaign SMT cell: a FENCE-carrying attack on thread 0
+        beside the campaign's pointer-chase co-tenant, under every
+        defense.  The programs above carry no FENCE, so this is what
+        holds the issue walk's fence and branch stops to the oracle
+        under SMT."""
+        def run(core_cls):
+            program, actors = ATTACKS_BY_NAME[attack]().build()
+            co_tenant = WORKLOAD_BUILDERS["pointer-chase"](scale=2, seed=97)
+            config = SimConfig(defense=mode, smt_contexts=2)
+            return SMTMachine(program, co_tenant, config, sample_period=100,
+                              actors=actors, core_cls=core_cls
+                              ).run(max_cycles=40_000)
+        assert _stream(run(None)) == _stream(run(ReferenceO3Core))
 
 
 class TestMemoIsolation:
