@@ -7,7 +7,6 @@ hardware fast path), and GAN sample-generation throughput.
 """
 
 from repro.sim import Machine, SimConfig
-from repro.sim.memo import TraceMemoTable
 from repro.workloads import WORKLOAD_BUILDERS
 
 
@@ -28,29 +27,6 @@ def test_simulator_throughput(benchmark):
     # (host-dependent).  3x the old 5k floor keeps headroom for slow CI
     # hosts while making a return to per-cycle scans fail loudly.
     assert cycles_per_sec > 15_000
-
-
-def test_memoized_simulator_throughput(benchmark):
-    """The repeated-trace path: every run after the first replays the
-    memo record instead of simulating."""
-    table = TraceMemoTable()
-    program = WORKLOAD_BUILDERS["astar"](scale=4, seed=0)
-
-    def run():
-        return Machine(program, SimConfig(), memo_table=table) \
-            .run(max_cycles=400_000)
-
-    result = benchmark(run)
-    assert result.halt_reason == "halt"
-    assert table.hits > 0, "benchmark rounds never replayed"
-    cycles_per_sec = result.cycles / benchmark.stats["mean"]
-    print(f"\nmemoized cycles/sec: {cycles_per_sec:,.0f} "
-          f"(hits={table.hits}, misses={table.misses})")
-    # Replay restores recorded state instead of stepping ~190k cycles;
-    # measured ~100x over the cold run.  The floor is 10x the cold-path
-    # floor — loose enough for slow hosts, tight enough that silently
-    # falling back to full simulation fails loudly.
-    assert cycles_per_sec > 150_000
 
 
 def test_detector_window_latency(benchmark, evax, corpus):

@@ -9,15 +9,12 @@ Two jobs, matching the hot-loop overhaul's acceptance contract:
    counter snapshots, cycle counts, committed-instruction counts and halt
    reasons.  The matrix covers three benign workloads, two attacks, every
    fencing/InvisiSpec defense mode (on both an attack and a benign
-   program) and the no-STL-speculation configuration.  Each cell also
-   proves the hot-trace **memo replay** path bit-identical (record on
-   the first optimized run, replay on the second), and a separate SMT
+   program) and the no-STL-speculation configuration.  A separate SMT
    matrix holds two-tenant runs to the same oracle.
 2. **Throughput** — best-of-N wall-clock cycles/sec per workload
    (including ``Machine`` construction, same methodology as the frozen
-   pre-overhaul baseline embedded below), plus memoization cold-vs-replay
-   speedup with hit rate and SMT co-tenancy throughput, written to
-   ``benchmarks/BENCH_sim_hotloop.json``.
+   pre-overhaul baseline embedded below), plus SMT co-tenancy
+   throughput, written to ``benchmarks/BENCH_sim_hotloop.json``.
 
 Usage (repo root):
 
@@ -43,7 +40,6 @@ from repro.attacks import ATTACKS_BY_NAME                  # noqa: E402
 from repro.sim.config import DefenseMode, SimConfig        # noqa: E402
 from repro.sim.cpu import O3Core                           # noqa: E402
 from repro.sim.machine import Machine                      # noqa: E402
-from repro.sim.memo import TraceMemoTable                  # noqa: E402
 from repro.sim.multiprog import SMTMachine                 # noqa: E402
 from repro.sim.reference import ReferenceO3Core            # noqa: E402
 from repro.workloads import WORKLOAD_BUILDERS              # noqa: E402
@@ -59,16 +55,12 @@ PRE_PR_BASELINE = {"astar": 18906, "stream": 7626, "pointer-chase": 53958}
 
 THROUGHPUT_WORKLOADS = ("astar", "stream", "pointer-chase")
 SPEEDUP_FLOOR = {"astar": 3.0}
-#: replayed (memo-hit) runs must be at least this much faster than the
-#: cold run of the same trace
-MEMO_SPEEDUP_FLOOR = 2.0
 
 
-def counter_stream(core_cls, program, config, sample_period, max_cycles,
-                   memo_table=None):
+def counter_stream(core_cls, program, config, sample_period, max_cycles):
     """Everything observable about a run that must not change."""
     m = Machine(program, config, sample_period=sample_period,
-                core_cls=core_cls, memo_table=memo_table)
+                core_cls=core_cls)
     m.run(max_cycles=max_cycles)
     deltas = tuple(tuple(s.deltas) for s in m.sampler.samples)
     return (deltas, tuple(m.counters.values), m.cpu.cycle,
@@ -130,27 +122,18 @@ def run_bitexact(quick=False):
     for name, program, config in bitexact_matrix(quick):
         ref = counter_stream(ReferenceO3Core, program, config, 500,
                              max_cycles)
-        # the optimized core's first run records into a fresh memo table;
-        # the second run replays it — both must equal the reference
-        table = TraceMemoTable()
-        fast = counter_stream(O3Core, program, config, 500, max_cycles,
-                              memo_table=table)
-        memo = counter_stream(O3Core, program, config, 500, max_cycles,
-                              memo_table=table)
+        fast = counter_stream(O3Core, program, config, 500, max_cycles)
         exact = ref == fast
-        memo_exact = ref == memo and table.hits == 1
-        ok &= exact and memo_exact
+        ok &= exact
         results[name] = {
             "bit_exact": exact,
-            "memo_replay_exact": memo_exact,
             "windows": len(ref[0]),
             "cycles": ref[2],
             "committed": ref[3],
         }
-        status = "OK " if exact and memo_exact else "MISMATCH"
+        status = "OK " if exact else "MISMATCH"
         print(f"  {status} {name}: {ref[2]} cycles, "
-              f"{len(ref[0])} sampler windows"
-              + ("" if memo_exact else "  [memo replay diverged]"))
+              f"{len(ref[0])} sampler windows")
     return ok, results
 
 
@@ -251,44 +234,6 @@ def measure_relative(rounds=3, max_cycles=100_000):
     }
 
 
-def measure_memoization(rounds=3, max_cycles=400_000):
-    """Cold-vs-replay wall clock on a repeated trace, plus hit rate.
-
-    Models the campaign/arena pattern: the same (program, config,
-    period, budget) cell evaluated again and again.  The first run
-    simulates and records; every later run replays the record.
-    """
-    table = TraceMemoTable()
-    program = WORKLOAD_BUILDERS["astar"](scale=4, seed=0)
-
-    def one_run():
-        t0 = time.perf_counter()
-        m = Machine(program, SimConfig(), sample_period=1000,
-                    memo_table=table)
-        m.run(max_cycles=max_cycles)
-        return m.cpu.cycle / (time.perf_counter() - t0)
-
-    cold = one_run()
-    assert table.misses == 1 and table.hits == 0
-    warm = max(one_run() for _ in range(rounds))
-    total = table.hits + table.misses
-    hit_rate = table.hits / total
-    speedup = warm / cold
-    print(f"  astar repeated trace: cold {cold:,.0f} c/s, replay "
-          f"{warm:,.0f} c/s ({speedup:.1f}x, hit rate "
-          f"{table.hits}/{total} = {hit_rate:.2f})")
-    return {
-        "workload": "astar",
-        "cold_cycles_per_sec": round(cold),
-        "replay_cycles_per_sec": round(warm),
-        "replay_speedup": round(speedup, 2),
-        "hits": table.hits,
-        "misses": table.misses,
-        "hit_rate": round(hit_rate, 4),
-        "floor": MEMO_SPEEDUP_FLOOR,
-    }
-
-
 def measure_smt(rounds=3, max_cycles=400_000):
     """Best-of-N wall clock for a two-tenant SMT run."""
     best = 0.0
@@ -319,8 +264,7 @@ def main():
                         help="throughput rounds per workload (best-of)")
     args = parser.parse_args()
 
-    print("bit-exactness (optimized O3Core vs ReferenceO3Core, "
-          "plus memo replay):")
+    print("bit-exactness (optimized O3Core vs ReferenceO3Core):")
     exact_ok, exact_results = run_bitexact(quick=args.check_only)
     print("SMT bit-exactness (two hardware contexts, shared machine):")
     smt_ok, smt_exact_results = run_smt_bitexact(quick=args.check_only)
@@ -328,16 +272,13 @@ def main():
         print("bench_sim: counter streams DIVERGED", file=sys.stderr)
         return 1
     if args.check_only:
-        print("bench_sim: bit-exactness smoke passed "
-              "(incl. memo replay and SMT)")
+        print("bench_sim: bit-exactness smoke passed (incl. SMT)")
         return 0
 
     print("throughput (best of {}, methodology as baseline):"
           .format(args.rounds))
     throughput = measure_throughput(rounds=args.rounds)
     relative = measure_relative(rounds=args.rounds)
-    print("memoization (repeated trace, cold record vs replay):")
-    memoization = measure_memoization(rounds=args.rounds)
     print("SMT co-tenancy throughput:")
     smt = measure_smt(rounds=args.rounds)
 
@@ -346,9 +287,6 @@ def main():
         for name, floor in SPEEDUP_FLOOR.items()
         if throughput[name]["speedup"] < floor
     ]
-    if memoization["replay_speedup"] < MEMO_SPEEDUP_FLOOR:
-        failures.append(f"memo replay: {memoization['replay_speedup']}x "
-                        f"< {MEMO_SPEEDUP_FLOOR}x")
 
     OUT_PATH.write_text(json.dumps({
         "methodology": {
@@ -360,16 +298,12 @@ def main():
             "bit_exactness": "sampler delta streams + final counter "
                              "snapshot + cycle/committed/halt_reason, "
                              "optimized vs reference core, plus "
-                             "memo-replay and SMT pairs",
-            "memoization": "cold run records into a fresh TraceMemoTable,"
-                           " later identical runs replay; best-of-N "
-                           "replay vs the cold run",
+                             "SMT pairs",
             "smt": "two-tenant SMTMachine (astar+stream, scale=4), "
                    "best-of-N wall clock",
         },
         "throughput": throughput,
         "relative": relative,
-        "memoization": memoization,
         "smt": smt,
         "bit_exactness": exact_results,
         "smt_bit_exactness": smt_exact_results,

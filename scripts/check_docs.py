@@ -1,19 +1,21 @@
 #!/usr/bin/env python
-"""Docs link checker: fail on broken relative links in the repo's
-Markdown files.
+"""Docs link checker: fail on broken relative links and anchors in the
+repo's Markdown files.
 
 Now a thin wrapper over the ``docs-links`` rule of
 ``repro.analysis.lint`` (see ``docs/static_analysis.md``); CLI and exit
 behaviour are unchanged.  Scans every tracked ``*.md`` (repo root,
 ``docs/``, ``benchmarks/``, ``examples/`` — anything except
 virtualenv/cache directories), extracts ``[text](target)`` links, and
-verifies that each relative target exists on disk.  External links
-(``http(s)://``, ``mailto:``) and pure anchors (``#section``) are
-skipped; an anchor suffix on a relative link is stripped before the
-existence check.
+verifies that each relative target exists on disk and that its
+``#anchor``, if any, names a heading of the target Markdown file
+(GitHub's slug; ``#`` lines in fenced code are not headings).  A bare
+``#anchor`` resolves against the linking file.  External links
+(``http(s)://``, ``mailto:``) are skipped.
 
 Exit status 0 when every relative link resolves, 1 otherwise (one line
-per broken link: ``file:line: broken link -> target``).
+per problem: ``file:line: broken link -> target`` or
+``file:line: broken anchor -> target``).
 """
 
 import sys

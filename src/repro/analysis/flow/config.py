@@ -66,12 +66,6 @@ class FlowConfig:
 DEFAULT_CONFIG = FlowConfig(
     surfaces=(
         FingerprintSurface(
-            "repro.sim.config.SimConfig",
-            "repro.sim.memo._config_signature",
-            note="memo-table entry fingerprint: a SimConfig field the "
-                 "signature misses would serve stale replays bit-exactly "
-                 "wrong"),
-        FingerprintSurface(
             "repro.campaign.spec.CampaignSpec",
             "repro.campaign.spec.CampaignSpec.fingerprint",
             note="campaign resume guard: a missing axis lets --resume "

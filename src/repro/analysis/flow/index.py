@@ -133,7 +133,7 @@ class ModuleInfo:
 
 
 def _module_name(relpath):
-    """``src/repro/sim/memo.py`` -> ``repro.sim.memo`` (fixture trees
+    """``src/repro/sim/cpu.py`` -> ``repro.sim.cpu`` (fixture trees
     without a ``src/`` prefix map the same way)."""
     parts = relpath.replace(os.sep, "/").split("/")
     if parts and parts[0] == "src":

@@ -1,12 +1,11 @@
 """Pass 1 — fingerprint-coverage drift.
 
 Every cache key in this repo is a hash over a config dataclass: the
-memo table hashes :class:`SimConfig`, the campaign cache hashes
-:class:`CampaignCell`, resume guards hash :class:`CampaignSpec` and
-:class:`ArenaSpec`.  The failure mode is silent and nasty — add a field
-to the dataclass, forget the fingerprint function, and two configs that
-differ in that field now *collide*: the cache serves bit-exact results
-for the wrong configuration.
+campaign cache hashes :class:`CampaignCell`, resume guards hash
+:class:`CampaignSpec` and :class:`ArenaSpec`.  The failure mode is
+silent and nasty — add a field to the dataclass, forget the fingerprint
+function, and two configs that differ in that field now *collide*: the
+cache serves bit-exact results for the wrong configuration.
 
 This pass closes the loop statically.  For each declared
 :class:`~repro.analysis.flow.config.FingerprintSurface` it computes the

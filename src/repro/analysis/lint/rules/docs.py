@@ -2,9 +2,9 @@
 
 Migrated from ``scripts/check_docs.py`` (which remains as a thin
 wrapper): every relative ``[text](target)`` link in a Markdown file
-must resolve on disk.  External links (``http(s)://``, ``mailto:``)
-and pure anchors are skipped; an anchor suffix on a relative link is
-stripped before the existence check.
+must resolve on disk, and its ``#anchor``, if any, must name a heading
+of the target file (a bare ``#anchor`` names one of its own file).
+External links (``http(s)://``, ``mailto:``) are skipped.
 """
 
 import re
@@ -12,15 +12,30 @@ import re
 from repro.analysis.lint.registry import Rule, register
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-_EXTERNAL = ("http://", "https://", "mailto:", "#")
+_EXTERNAL = ("http://", "https://", "mailto:")
+_HEADING = re.compile(r"#{1,6}\s+(.*?)\s*$")
+
+
+def _heading_anchors(lines):
+    """GitHub's slug of every heading outside fenced code: lowercase,
+    keep letters, digits, ``_``, ``-`` and space, spaces become ``-``."""
+    anchors, fenced = set(), False
+    for line in lines:
+        fenced ^= line.startswith("```")
+        match = not fenced and _HEADING.match(line)
+        if match:
+            text = re.sub(r"[^\w\- ]", "", match.group(1).lower())
+            anchors.add(text.replace(" ", "-"))
+    return anchors
 
 
 @register
 class DocsLinksRule(Rule):
-    """Relative Markdown links must point at existing files."""
+    """Relative Markdown links must point at existing files and
+    headings."""
 
     name = "docs-links"
-    description = "broken relative link in a Markdown file"
+    description = "broken relative link or anchor in a Markdown file"
     rationale = ("docs are part of the observability/ops contract; a "
                  "broken cross-link is a dead runbook step")
     file_kinds = ("markdown",)
@@ -31,9 +46,15 @@ class DocsLinksRule(Rule):
                 target = match.group(1)
                 if target.startswith(_EXTERNAL):
                     continue
-                relative = target.split("#", 1)[0]
-                if relative and not (ctx.path.parent / relative).exists():
-                    yield self.finding(
-                        ctx, lineno, match.start(1) + 1,
-                        f"broken link -> {target}",
-                        data={"target": target})
+                relative, _, anchor = target.partition("#")
+                path = ctx.path.parent / relative if relative else ctx.path
+                if not path.exists():
+                    problem = "broken link"
+                elif anchor and path.suffix == ".md" and anchor not in \
+                        _heading_anchors(path.read_text().splitlines()):
+                    problem = "broken anchor"
+                else:
+                    continue
+                yield self.finding(
+                    ctx, lineno, match.start(1) + 1,
+                    f"{problem} -> {target}", data={"target": target})

@@ -115,21 +115,16 @@ def _cmd_collect(args):
                for s in range(1, args.seeds + 1)]
     workloads = all_workloads(scale=args.scale,
                               seeds=tuple(range(args.seeds)))
-    sim_config = None
-    if args.memoize:
-        from repro.sim import SimConfig
-        sim_config = SimConfig(memoize=True)
     with time_block("stage.collect.build"):
         if args.jobs == 1:
-            dataset = build_dataset(attacks, workloads, config=sim_config,
+            dataset = build_dataset(attacks, workloads,
                                     sample_period=args.period,
                                     tenancy=args.tenancy)
         else:
             shard_dir = args.checkpoint_dir or (args.out + ".shards")
             try:
                 dataset, report = build_dataset_resilient(
-                    attacks, workloads, config=sim_config,
-                    sample_period=args.period,
+                    attacks, workloads, sample_period=args.period,
                     processes=args.jobs, retries=args.retries,
                     task_timeout=args.task_timeout, checkpoint_dir=shard_dir,
                     resume=args.resume, min_coverage=args.min_coverage,
@@ -497,10 +492,6 @@ def build_parser():
                    choices=["single", "smt"],
                    help="run each source alone or under SMT co-tenant "
                         "interference noise")
-    p.add_argument("--memoize", action="store_true",
-                   help="enable hot-trace memoization: repeated "
-                        "identical runs replay recorded traces "
-                        "(bit-identical; see docs/simulator.md)")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel collection processes (1 = sequential)")
     p.add_argument("--resume", action="store_true",

@@ -26,20 +26,6 @@ CATALOG = {
         "sim.sampler.windows": ("counter", "HPC sampling windows emitted"),
         "sim.sampler.partial_windows":
             ("counter", "partial end-of-run windows emitted by flush"),
-        "sim.memo.hits":
-            ("counter", "runs replayed from the trace-memo table"),
-        "sim.memo.misses":
-            ("counter", "memo-eligible runs simulated and recorded"),
-        "sim.memo.ineligible":
-            ("counter", "runs that bypassed memoization (conservative "
-                        "fingerprint refused)"),
-        "sim.memo.entries": ("gauge", "records live in the memo table"),
-        "sim.memo.replayed_windows":
-            ("counter", "sampling windows replayed from memo records"),
-        "sim.decode.block_hits":
-            ("counter", "basic blocks interned from the decode cache"),
-        "sim.decode.block_misses":
-            ("counter", "basic blocks cracked and cached on first sight"),
         "sim.smt.runs": ("counter", "SMT co-tenant runs (SMTMachine.run)"),
     },
     "runtime": {

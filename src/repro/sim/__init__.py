@@ -15,13 +15,11 @@ cache state, deferred faults, stale store forwarding, DRAM row hammering).
 """
 
 from repro.sim.isa import Op, Instruction, KERNEL_BASE, ASSIST_BIT
-from repro.sim.decode import DecodeCache, GLOBAL_DECODE_CACHE
 from repro.sim.program import Program, ProgramBuilder
 from repro.sim.config import SimConfig, DefenseMode
 from repro.sim.cpu import O3Core
 from repro.sim.hpc import CounterBank
 from repro.sim.machine import Machine, RunResult
-from repro.sim.memo import GLOBAL_MEMO_TABLE, TraceMemoTable
 from repro.sim.multiprog import SMTMachine, SMTRunResult, TimeSharedMachine
 from repro.sim.reference import ReferenceO3Core
 from repro.sim.sampler import Sampler, Sample
@@ -36,14 +34,10 @@ __all__ = [
     "SimConfig",
     "DefenseMode",
     "CounterBank",
-    "DecodeCache",
-    "GLOBAL_DECODE_CACHE",
     "O3Core",
     "ReferenceO3Core",
     "Machine",
     "RunResult",
-    "TraceMemoTable",
-    "GLOBAL_MEMO_TABLE",
     "TimeSharedMachine",
     "SMTMachine",
     "SMTRunResult",

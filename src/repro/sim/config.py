@@ -115,15 +115,6 @@ class SimConfig:
     # Trap handling cost (pipeline flush + microcode)
     trap_latency: int = 40
 
-    # Hot-trace memoization: when True, Machine.run() consults the
-    # process-wide TraceMemoTable and replays a recorded run whenever the
-    # full entry fingerprint (program content, initial state, config,
-    # sampling period, cycle budget, core class) provably matches — see
-    # repro/sim/memo.py.  Counter streams are bit-identical by
-    # construction; anything the fingerprint cannot prove (actors,
-    # detector hooks, multi-context machines) falls back to simulation.
-    memoize: bool = False
-
     # SMT hardware contexts (1 = the paper's single-thread core;
     # 2 = cycle-interleaved co-tenancy via repro.sim.multiprog.SMTMachine)
     smt_contexts: int = 1

@@ -157,8 +157,8 @@ RETIRE_KIND_OF = {
 class Instruction:
     """One micro-op.
 
-    ``target`` holds a label name until :meth:`Program.finalize` resolves it
-    to an instruction index.
+    ``target`` is an instruction index: :meth:`ProgramBuilder.build`
+    resolves label names before it constructs the instruction.
 
     Pipeline-static properties (ROB classification flags, execution latency
     and issue-port class) are precomputed once here so the simulator's hot
@@ -173,7 +173,7 @@ class Instruction:
     rs1: int = None
     rs2: int = None
     imm: int = 0
-    target: object = None  # label str before finalize, int PC after
+    target: object = None  # int PC, resolved by ProgramBuilder.build
 
     def __post_init__(self):
         op = self.op

@@ -47,7 +47,7 @@ class Machine:
     """
 
     def __init__(self, program, config=None, sample_period=1000, actors=None,
-                 detector_hook=None, core_cls=None, memo_table=None):
+                 detector_hook=None, core_cls=None):
         self.program = program
         self.config = config if config is not None else SimConfig()
         self.counters = CounterBank()
@@ -84,16 +84,6 @@ class Machine:
         #: quarantine / migration response to a detected contention attack)
         self.actors_suspended = False
         self.cycle = 0
-        #: hot-trace memo table: an explicit table wins, else
-        #: ``config.memoize`` opts into the process-wide one, else off —
-        #: see repro/sim/memo.py for the conservatism contract
-        if memo_table is not None:
-            self.memo_table = memo_table
-        elif self.config.memoize:
-            from repro.sim.memo import GLOBAL_MEMO_TABLE
-            self.memo_table = GLOBAL_MEMO_TABLE
-        else:
-            self.memo_table = None
         #: ``core_cls`` lets callers swap the scheduler implementation —
         #: the equivalence tests run ReferenceO3Core against the default.
         self.cpu = (core_cls or O3Core)(self)
@@ -132,26 +122,10 @@ class Machine:
 
     def run(self, max_cycles=1_000_000):
         """Run to completion (HALT, unhandled fault, or end of program) or
-        until ``max_cycles``; returns a :class:`RunResult`.
-
-        When a memo table is attached and the entry state fingerprints as
-        provably seen before, the recorded run is replayed instead of
-        simulated — bit-identical result, no stepping (see
-        repro/sim/memo.py).
-        """
+        until ``max_cycles``; returns a :class:`RunResult`."""
         cpu = self.cpu
         actors = self.actors
         wall_start = time.perf_counter()
-        memo_key = None
-        if self.memo_table is not None:
-            memo_key = self.memo_table.fingerprint(self, max_cycles)
-            if memo_key is not None:
-                record = self.memo_table.lookup(memo_key)
-                if record is not None:
-                    self.memo_table.replay(self, record)
-                    self._record_run_observations(
-                        time.perf_counter() - wall_start)
-                    return self._result()
         while not cpu.halted and self.cycle < max_cycles:
             cpu.step(self.cycle)
             if actors and not self.actors_suspended:
@@ -160,8 +134,6 @@ class Machine:
                         actor.tick(self, self.cycle)
             self.cycle += 1
         self.sampler.flush(cpu.committed, self.cycle)
-        if memo_key is not None:
-            self.memo_table.record(memo_key, self)
         self._record_run_observations(time.perf_counter() - wall_start)
         return self._result()
 

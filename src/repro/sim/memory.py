@@ -33,18 +33,5 @@ class MainMemory:
         wa = self._word_addr(addr)
         self._words[wa] = self._words.get(wa, 0) ^ (1 << bit)
 
-    def snapshot(self):
-        """All touched words as an address-ordered tuple of
-        ``(word_addr, value)`` pairs — the canonical form fingerprints
-        hash and memo records store.  Ordered so equal contents always
-        serialize identically regardless of store order."""
-        return tuple(sorted(self._words.items()))
-
-    def load_snapshot(self, words):
-        """Replace the entire contents with a :meth:`snapshot` (in
-        place: fast paths may hold a reference to this memory)."""
-        self._words.clear()
-        self._words.update(words)
-
     def __contains__(self, addr):
         return self._word_addr(addr) in self._words

@@ -351,9 +351,6 @@ class SMTMachine:
     halted — so exactly one core steps per machine cycle and the
     invariant ``cpu.numCycles == machine.cycle`` carries over from the
     single-threaded machine.
-
-    SMT runs are never memoized (the conservative fallback in
-    :mod:`repro.sim.memo` only fingerprints single-context machines).
     """
 
     def __init__(self, program_a, program_b, config=None, sample_period=1000,

@@ -1,17 +1,11 @@
 """Programs for the simulated core, with a small assembler-style builder.
 
-Instruction *cracking* (the derived-property computation in
-``Instruction.__post_init__``) is deferred to :meth:`ProgramBuilder.build`
-and routed through the basic-block decode cache
-(:mod:`repro.sim.decode`), so repeated builds of the same code — campaign
-cells, arena generations, benchmark rounds — share one cracked copy per
-distinct block.  Labels are resolved on raw spec tuples *before*
-interning, so cached :class:`~repro.sim.isa.Instruction` objects are
-never mutated after construction.
+The builder records raw spec tuples; :meth:`ProgramBuilder.build`
+resolves labels on them, then constructs each
+:class:`~repro.sim.isa.Instruction`, so an instruction is never mutated
+after construction.
 """
 
-from repro.obs import metrics
-from repro.sim.decode import crack_specs, program_content_hash
 from repro.sim.isa import Op, Instruction, BRANCH_OPS
 
 
@@ -28,20 +22,9 @@ class Program:
         self.initial_regs = dict(initial_regs or {})
         #: free-form attack/workload metadata (secret values, probe bases...)
         self.metadata = dict(metadata or {})
-        self._content_hash = None
 
     def __len__(self):
         return len(self.instructions)
-
-    @property
-    def content_hash(self):
-        """SHA-256 of the architectural content (instructions + preloaded
-        memory + initial registers; ``name``/``metadata`` excluded).
-        Computed lazily and cached — programs are immutable once built."""
-        if self._content_hash is None:
-            self._content_hash = program_content_hash(
-                self.instructions, self.initial_memory, self.initial_regs)
-        return self._content_hash
 
     def fetch(self, pc):
         """Instruction at ``pc`` or None when past the end."""
@@ -83,8 +66,6 @@ class ProgramBuilder:
         return self
 
     def emit(self, op, rd=None, rs1=None, rs2=None, imm=0, target=None):
-        # raw spec tuple; cracking into an Instruction happens once, in
-        # build(), through the shared decode cache
         self._insts.append((op, rd, rs1, rs2, imm, target))
         return self
 
@@ -223,15 +204,8 @@ class ProgramBuilder:
     # -- finalization ----------------------------------------------------------
 
     def build(self):
-        """Resolve labels and return the finished :class:`Program`.
-
-        Label resolution happens on the raw spec tuples, then the
-        resolved stream is interned through the process-wide decode cache
-        — identical basic blocks across builds share one cracked
-        :class:`Instruction` tuple.
-        """
-        from repro.sim.decode import GLOBAL_DECODE_CACHE
-        specs = []
+        """Resolve labels and return the finished :class:`Program`."""
+        insts = []
         for op, rd, rs1, rs2, imm, target in self._insts:
             if isinstance(target, str):
                 if target not in self._labels:
@@ -244,15 +218,8 @@ class ProgramBuilder:
             elif target is None and (op in BRANCH_OPS
                                      and op not in (Op.JMPI, Op.RET)):
                 raise ValueError(f"{op} needs a target")
-            specs.append((op, rd, rs1, rs2, imm, target))
-        hits_before = GLOBAL_DECODE_CACHE.hits
-        misses_before = GLOBAL_DECODE_CACHE.misses
-        insts = crack_specs(specs, GLOBAL_DECODE_CACHE)
-        reg = metrics()
-        reg.inc("sim.decode.block_hits",
-                GLOBAL_DECODE_CACHE.hits - hits_before)
-        reg.inc("sim.decode.block_misses",
-                GLOBAL_DECODE_CACHE.misses - misses_before)
+            insts.append(Instruction(op, rd=rd, rs1=rs1, rs2=rs2, imm=imm,
+                                     target=target))
         memory = dict(self.initial_memory)
         for addr, label in self._data_labels:
             if label not in self._labels:

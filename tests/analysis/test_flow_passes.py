@@ -5,10 +5,10 @@ CLI exit codes, the shared parse cache, and the self-check gate.
 Fixture trees are written under ``tmp_path`` with repo-shaped relative
 paths and analyzed with a fixture :class:`FlowConfig` whose surfaces /
 sinks / boundaries / catalogs point at the fixture modules — so every
-pass is exercised hermetically.  Two drift tests additionally mutate
-copies of the *real* ``SimConfig`` / ``CampaignSpec`` sources to prove
-the production contract: adding a field without updating the
-fingerprint function is caught.
+pass is exercised hermetically.  The drift tests additionally mutate
+copies of the *real* ``CampaignSpec`` / ``CampaignCell`` / ``ArenaSpec``
+sources to prove the production contract: adding a field without
+updating the fingerprint function is caught.
 """
 
 import dataclasses
@@ -276,52 +276,6 @@ def test_drift_broken_surface_fails_loudly(tmp_path):
     assert "broken" in result.findings[0].message
 
 
-def test_drift_detected_on_real_simconfig_source(tmp_path):
-    """Mutating a copy of the real SimConfig to gain a field while the
-    signature explicitly enumerates today's fields is caught."""
-    from repro.sim.config import SimConfig
-    source = (REPO / "src/repro/sim/config.py").read_text()
-    anchor = "    memoize: bool = False"
-    assert anchor in source
-    mutated = source.replace(
-        anchor, anchor + "\n    unhashed_knob: int = 0")
-    names = [f.name for f in dataclasses.fields(SimConfig)]
-    signature = ("def _config_signature(config):\n    parts = []\n"
-                 + "".join(f"    parts.append(str(config.{n}))\n"
-                           for n in names)
-                 + "    return '|'.join(parts)\n")
-    result = flow_tree(
-        tmp_path,
-        {"src/repro/sim/config.py": mutated,
-         "src/repro/sim/memo.py": signature},
-        FlowConfig(surfaces=(
-            FingerprintSurface("repro.sim.config.SimConfig",
-                               "repro.sim.memo._config_signature"),)),
-        select=["fingerprint-drift"])
-    assert [f.data["field"] for f in result.findings] == ["unhashed_knob"]
-
-
-def test_real_simconfig_signature_is_covers_all(tmp_path):
-    """The production ``_config_signature`` iterates
-    ``dataclasses.fields`` — adding a SimConfig field is hashed
-    automatically, so the same mutation stays clean with the real
-    memo source."""
-    source = (REPO / "src/repro/sim/config.py").read_text()
-    mutated = source.replace(
-        "    memoize: bool = False",
-        "    memoize: bool = False\n    unhashed_knob: int = 0")
-    result = flow_tree(
-        tmp_path,
-        {"src/repro/sim/config.py": mutated,
-         "src/repro/sim/memo.py":
-             (REPO / "src/repro/sim/memo.py").read_text()},
-        FlowConfig(surfaces=(
-            FingerprintSurface("repro.sim.config.SimConfig",
-                               "repro.sim.memo._config_signature"),)),
-        select=["fingerprint-drift"])
-    assert result.findings == []
-
-
 def test_drift_detected_on_real_campaignspec_axis(tmp_path):
     """Adding a matrix axis to a copy of the real CampaignSpec without
     threading it into ``to_dict`` (the fingerprint source) is caught —
@@ -339,6 +293,61 @@ def test_drift_detected_on_real_campaignspec_axis(tmp_path):
                 "repro.campaign.spec.CampaignSpec.fingerprint"),)),
         select=["fingerprint-drift"])
     assert [f.data["field"] for f in result.findings] == ["new_axis"]
+
+
+CELL_SURFACE = FlowConfig(surfaces=(
+    FingerprintSurface("repro.campaign.spec.CampaignCell",
+                       "repro.campaign.spec.CampaignCell.fingerprint"),))
+
+
+def test_drift_detected_on_real_campaigncell_field(tmp_path):
+    """A CampaignCell field left out of ``config()`` (what the cell
+    fingerprint hashes) is caught on a copy of the real source: two
+    cells differing only in it would share one CellCache entry."""
+    source = (REPO / "src/repro/campaign/spec.py").read_text()
+    anchor = '    tenancy: str = "single"      # "single" | "smt"'
+    assert source.count(anchor) == 1
+    mutated = source.replace(anchor, "    warmup: int = 0\n" + anchor)
+    result = flow_tree(tmp_path, {"src/repro/campaign/spec.py": mutated},
+                       CELL_SURFACE, select=["fingerprint-drift"])
+    assert [f.data["field"] for f in result.findings] == ["warmup"]
+
+
+def test_real_campaigncell_index_exemption_is_honoured(tmp_path):
+    """``CampaignCell.index`` stays outside the content address on
+    purpose: the real source is clean because of its exemption, and the
+    same source without it is flagged."""
+    source = (REPO / "src/repro/campaign/spec.py").read_text()
+    exemption = ("    # flow: fingerprint-exempt(matrix position only, "
+                 "not simulated state)\n")
+    assert source.count(exemption) == 1
+    exempt = flow_tree(tmp_path / "exempt",
+                       {"src/repro/campaign/spec.py": source},
+                       CELL_SURFACE, select=["fingerprint-drift"])
+    bare = flow_tree(tmp_path / "bare",
+                     {"src/repro/campaign/spec.py":
+                      source.replace(exemption, "")},
+                     CELL_SURFACE, select=["fingerprint-drift"])
+    assert exempt.findings == []
+    assert [f.data["field"] for f in bare.findings] == ["index"]
+
+
+def test_drift_detected_on_real_arenaspec_knob(tmp_path):
+    """An ArenaSpec knob that ``to_dict`` (the fingerprint source) does
+    not carry is caught on a copy of the real source: ``--resume`` would
+    splice lineages run under different values of it."""
+    source = (REPO / "src/repro/arena/loop.py").read_text()
+    anchor = "    fn_budget: float = 0.05"
+    assert source.count(anchor) == 1
+    mutated = source.replace(anchor,
+                             anchor + "\n    mutation_rate: float = 0.1")
+    result = flow_tree(
+        tmp_path, {"src/repro/arena/loop.py": mutated},
+        FlowConfig(surfaces=(
+            FingerprintSurface("repro.arena.loop.ArenaSpec",
+                               "repro.arena.loop.ArenaSpec.fingerprint"),)),
+        select=["fingerprint-drift"])
+    assert [f.data["field"] for f in result.findings] == ["mutation_rate"]
 
 
 # ---------------------------------------------------------------------------

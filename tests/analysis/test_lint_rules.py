@@ -347,11 +347,66 @@ def test_docs_links_flags_broken_relative_link(tmp_path):
     result = lint_tree(tmp_path, {"docs/index.md": """\
         [ok](../exists.md) [also ok](https://example.com) [anchor](#x)
         [broken](missing.md#section)
+        ## x
     """})
     assert rules_of(result) == ["docs-links"]
     finding = result.findings[0]
     assert finding.line == 2
     assert finding.data == {"target": "missing.md#section"}
+
+
+def test_docs_links_checks_anchors_against_headings(tmp_path):
+    """An anchor must name a heading of its target file (GitHub's slug);
+    a bare ``#anchor`` names one of the linking file, and a ``#`` line
+    inside fenced code is not a heading."""
+    (tmp_path / "other.md").write_text("# Other\n\n## Fast path & `wakeups`\n")
+    result = lint_tree(tmp_path, {"docs/index.md": """\
+        # Index page
+        [good](#index-page) [bad](#missing)
+        [good](../other.md#fast-path--wakeups) [bad](../other.md#index-page)
+        ```
+        # fenced
+        ```
+        [fenced](#fenced)
+    """})
+    assert rules_of(result) == ["docs-links"] * 3
+    assert [(f.line, f.data["target"]) for f in result.findings] == [
+        (2, "#missing"), (3, "../other.md#index-page"), (7, "#fenced")]
+    assert result.findings[0].message == "broken anchor -> #missing"
+
+
+@pytest.mark.parametrize("heading, anchor", [
+    ("# Content-addressed cell cache", "content-addressed-cell-cache"),
+    ("### 3. Tier-1 verify (CI)", "3-tier-1-verify-ci"),
+    ("## `repro collect` — options", "repro-collect--options"),
+    ("## snake_case_name", "snake_case_name"),
+    ("###### Six deep", "six-deep"),
+], ids=["hyphen", "digits-and-parens", "code-and-dash", "underscore",
+        "level-six"])
+def test_docs_links_anchor_uses_github_slug(tmp_path, heading, anchor):
+    result = lint_tree(tmp_path, {
+        "docs/index.md": f"{heading}\n[here](#{anchor})\n"})
+    assert result.findings == []
+
+
+@pytest.mark.parametrize("line, anchor", [
+    ("####### Seven deep", "seven-deep"),
+    ("#hashtag", "hashtag"),
+    ("    # indented code", "indented-code"),
+], ids=["level-seven", "no-space", "indented-code"])
+def test_docs_links_non_heading_defines_no_anchor(tmp_path, line, anchor):
+    result = lint_tree(tmp_path, {
+        "docs/index.md": f"{line}\n\n[here](#{anchor})\n"})
+    assert [f.data["target"] for f in result.findings] == [f"#{anchor}"]
+
+
+def test_docs_links_checks_anchors_only_in_markdown_targets(tmp_path):
+    (tmp_path / "tool.py").write_text("print()\n")
+    result = lint_tree(tmp_path, {"docs/index.md": """\
+        [source](../tool.py#L1) [gone](../gone.py#L1)
+    """})
+    assert [f.message for f in result.findings] == [
+        "broken link -> ../gone.py#L1"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from repro.attacks import ATTACKS_BY_NAME
 from repro.sim import CounterBank, ProgramBuilder, SimConfig, SMTMachine
 from repro.sim.config import DefenseMode
-from repro.sim.memo import GLOBAL_MEMO_TABLE
 from repro.sim.reference import ReferenceO3Core
 from repro.workloads import WORKLOAD_BUILDERS
 
@@ -161,15 +160,3 @@ class TestDeterminismAndOracle:
                               ).run(max_cycles=40_000)
         assert _stream(run(None)) == _stream(run(ReferenceO3Core))
 
-
-class TestMemoIsolation:
-    def test_smt_runs_never_touch_the_memo_table(self):
-        """SMT drives the cores directly; even with ``memoize=True`` no
-        record is ever created or replayed for a multi-context run."""
-        before_len = len(GLOBAL_MEMO_TABLE)
-        before_hits = GLOBAL_MEMO_TABLE.hits
-        r1 = _smt(config=SimConfig(memoize=True)).run(max_cycles=300_000)
-        r2 = _smt(config=SimConfig(memoize=True)).run(max_cycles=300_000)
-        assert len(GLOBAL_MEMO_TABLE) == before_len
-        assert GLOBAL_MEMO_TABLE.hits == before_hits
-        assert _stream(r1) == _stream(r2)
