@@ -14,20 +14,13 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-180}"
 
-python scripts/check_docs.py
-
-# combined static-analysis gate: per-file contract lint (determinism,
-# atomic IO, catalog hygiene, error contracts) plus the whole-program
-# flow passes (fingerprint drift, determinism taint, fail-secure
-# exception flow, catalog provenance) over ONE shared parse cache —
-# see docs/static_analysis.md.  New flow findings (not in the
-# committed .flow-baseline.json) fail the run; JSON findings land next
-# to the run so manifests/ops tooling can ingest them.  Standalone
-# equivalents: python -m repro.analysis.lint src tests scripts
-#              python -m repro.analysis.flow src/repro
-python -m repro.analysis src tests scripts \
-    --json-out "${REPRO_LINT_JSON:-.lint-findings.json}" \
-    --flow-json-out "${REPRO_FLOW_JSON:-.flow-findings.json}"
+# static-analysis gate over the whole tree, one parse per file: the
+# per-file checks (determinism, atomic IO, catalog names, error
+# contracts, Markdown links) and the whole-program checks (fingerprint
+# drift, determinism taint, fail-secure exception flow) — see
+# docs/static_analysis.md.  Any unsuppressed finding fails the run; the
+# JSON findings land next to the run for manifests/ops tooling.
+python -m repro.analysis --json-out .analysis-findings.json
 
 # fast bit-exactness smoke: optimized scheduler vs reference spec on a
 # workload, an attack, and an InvisiSpec mode (~2s; full matrix +

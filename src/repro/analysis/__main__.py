@@ -1,5 +1,5 @@
 import sys
 
-from repro.analysis.check import main
+from repro.analysis.cli import main
 
 sys.exit(main())

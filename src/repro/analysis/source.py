@@ -1,66 +1,68 @@
-"""Shared source/AST cache for the static-analysis tools.
+"""Source files and AST name helpers for the analysis engine.
 
-Both the per-file contract linter (:mod:`repro.analysis.lint`) and the
-whole-program flow verifier (:mod:`repro.analysis.flow`) need the text
-and parsed AST of every Python file in the tree.  Parsing dominates
-their wall-clock, so when the two run in one process (the combined
-``python -m repro.analysis`` runner that ``scripts/ci.sh`` invokes)
-they share one :class:`SourceCache`: each file is read and parsed
-**exactly once**, regardless of how many tools or passes consume it.
-
-``parses`` counts actual ``ast.parse`` calls — the cache-sharing tests
-pin that it never exceeds the number of distinct files.
+The engine reads every discovered file once into a :class:`SourceFile`
+and parses a Python file at most once, however many checks consume it:
+the per-file checks and the whole-program
+:class:`~repro.analysis.index.ProjectIndex` share the same tree.
 """
 
 import ast
-import os
+from pathlib import Path
 
 
 class SourceFile:
-    """One file's text, split lines, and lazily-parsed AST.
+    """One file's root-relative path, text, split lines, and lazily
+    parsed AST.
 
     ``tree`` raises ``SyntaxError`` for a broken file, exactly like
-    calling ``ast.parse`` directly — consumers decide whether that is a
-    finding (the lint engine) or a skipped module (the flow index).
+    calling ``ast.parse`` directly; the engine turns that into one
+    ``parse-error`` finding and hands the file to no check.
     """
 
-    def __init__(self, path, cache=None):
-        self.path = path
-        with open(path, "r", encoding="utf-8") as f:
-            self.text = f.read()
+    def __init__(self, path, relpath):
+        self.path = Path(path)
+        self.relpath = relpath       # engine-root-relative, POSIX separators
+        self.text = self.path.read_text(encoding="utf-8")
         self.lines = self.text.splitlines()
         self._tree = None
-        self._error = None
-        self._cache = cache
+        self._nodes = None
 
     @property
     def tree(self):
-        if self._error is not None:
-            raise self._error
         if self._tree is None:
-            if self._cache is not None:
-                self._cache.parses += 1
-            try:
-                self._tree = ast.parse(self.text, filename=str(self.path))
-            except SyntaxError as exc:
-                self._error = exc
-                raise
+            self._tree = ast.parse(self.text, filename=str(self.path))
         return self._tree
 
+    @property
+    def nodes(self):
+        """Every node of ``tree`` in ``ast.walk`` order, walked once for
+        all the checks that scan the whole file."""
+        if self._nodes is None:
+            self._nodes = list(ast.walk(self.tree))
+        return self._nodes
 
-class SourceCache:
-    """Process-wide ``abspath -> SourceFile`` cache."""
 
-    def __init__(self):
-        self._files = {}
-        self.parses = 0          # actual ast.parse calls performed
+def dotted_name(node):
+    """Render a pure ``Name``/``Attribute`` chain as ``"a.b.c"``.
 
-    def __len__(self):
-        return len(self._files)
+    Returns ``None`` for anything else (subscripts, calls, literals) —
+    checks treat those as dynamic and skip them.
+    """
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
-    def get(self, path):
-        key = os.path.abspath(path)
-        sf = self._files.get(key)
-        if sf is None:
-            sf = self._files[key] = SourceFile(key, cache=self)
-        return sf
+
+def call_callee(call):
+    """The last component of a call target (method or function name)."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None

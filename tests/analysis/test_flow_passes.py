@@ -1,33 +1,27 @@
-"""Whole-program flow-verifier tests: project-index resolution, the
-four passes over fixture trees, baseline semantics, reporter schema,
-CLI exit codes, the shared parse cache, and the self-check gate.
+"""Whole-program check tests: project-index resolution and the three
+whole-program checks over fixture trees.
 
-Fixture trees are written under ``tmp_path`` with repo-shaped relative
-paths and analyzed with a fixture :class:`FlowConfig` whose surfaces /
-sinks / boundaries / catalogs point at the fixture modules — so every
-pass is exercised hermetically.  The drift tests additionally mutate
-copies of the *real* ``CampaignSpec`` / ``CampaignCell`` / ``ArenaSpec``
-sources to prove the production contract: adding a field without
-updating the fingerprint function is caught.
+Fixture trees are written under ``tmp_path`` at ``src/repro/pkg/...``,
+inside the whole-program checks' scope, and analysed with a fixture
+:class:`FlowConfig` whose surfaces / sinks / boundaries point at the
+fixture modules — so every check is exercised hermetically.  The drift
+tests additionally mutate copies of the *real* ``CampaignSpec`` /
+``CampaignCell`` / ``ArenaSpec`` sources to prove the production
+contract: adding a field without updating the fingerprint function is
+caught.
 """
 
-import dataclasses
-import json
+import ast
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import FlowUsageError, ProjectIndex, run_flow
-from repro.analysis.flow.baseline import Baseline
-from repro.analysis.flow.baseline import SCHEMA as BASELINE_SCHEMA
-from repro.analysis.flow.baseline import baseline_key
-from repro.analysis.flow.cli import main as flow_main
-from repro.analysis.flow.config import FingerprintSurface, FlowConfig
-from repro.analysis.flow.engine import FlowEngine
-from repro.analysis.flow.reporters import JSON_SCHEMA, render_json
-from repro.analysis.lint.engine import LintEngine
-from repro.analysis.source import SourceCache
+from repro.analysis.checks.determinism import nondeterminism_sources
+from repro.analysis.config import FingerprintSurface, FlowConfig
+from repro.analysis.engine import run
+from repro.analysis.index import ProjectIndex
+from repro.analysis.source import SourceFile
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -39,11 +33,9 @@ def write_tree(tmp_path, files):
         target.write_text(textwrap.dedent(source))
 
 
-def flow_tree(tmp_path, files, config, select=None, baseline=None,
-              cache=None):
+def flow_tree(tmp_path, files, config, select=None):
     write_tree(tmp_path, files)
-    return run_flow([tmp_path], root=tmp_path, config=config,
-                    select=select, baseline=baseline, cache=cache)
+    return run(root=tmp_path, config=config, select=select)
 
 
 def rules_of(result):
@@ -56,7 +48,9 @@ def rules_of(result):
 
 def build_index(tmp_path, files):
     write_tree(tmp_path, files)
-    return ProjectIndex.build([tmp_path], root=tmp_path)
+    return ProjectIndex.build({relpath: SourceFile(tmp_path / relpath,
+                                                   relpath)
+                               for relpath in files})
 
 
 def test_index_import_alias_expansion(tmp_path):
@@ -172,11 +166,12 @@ def test_index_reachable_stops_at_barrier(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fingerprint-drift pass
+# fingerprint-drift check
 
 
 DRIFT_CONFIG = FlowConfig(surfaces=(
-    FingerprintSurface("pkg.spec.Spec", "pkg.spec.Spec.fingerprint"),))
+    FingerprintSurface("repro.pkg.spec.Spec",
+                       "repro.pkg.spec.Spec.fingerprint"),))
 
 SPEC_WITH_DRIFT = """\
     from dataclasses import dataclass
@@ -193,7 +188,7 @@ SPEC_WITH_DRIFT = """\
 
 
 def test_drift_flags_unconsumed_field(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/spec.py": SPEC_WITH_DRIFT},
+    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
                        DRIFT_CONFIG)
     assert rules_of(result) == ["fingerprint-drift"]
     finding = result.findings[0]
@@ -206,15 +201,16 @@ def test_drift_gains_field_is_flagged(tmp_path):
     """The headline contract: a dataclass gaining a field the
     fingerprint does not hash is detected."""
     clean = SPEC_WITH_DRIFT.replace("        gamma: int\n", "")
-    assert not flow_tree(tmp_path / "a", {"pkg/spec.py": clean},
+    assert not flow_tree(tmp_path / "a", {"src/repro/pkg/spec.py": clean},
                          DRIFT_CONFIG).findings
-    grown = flow_tree(tmp_path / "b", {"pkg/spec.py": SPEC_WITH_DRIFT},
+    grown = flow_tree(tmp_path / "b",
+                      {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
                       DRIFT_CONFIG)
     assert [f.data["field"] for f in grown.findings] == ["gamma"]
 
 
 def test_drift_covers_all_idiom_is_future_proof(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/spec.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": """\
         from dataclasses import dataclass, fields
 
         @dataclass
@@ -230,7 +226,7 @@ def test_drift_covers_all_idiom_is_future_proof(tmp_path):
 
 
 def test_drift_follows_to_dict_and_helpers(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/spec.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": """\
         from dataclasses import dataclass
 
         def _canon(spec):
@@ -251,7 +247,7 @@ def test_drift_follows_to_dict_and_helpers(tmp_path):
 
 
 def test_drift_exemption_annotation(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/spec.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": """\
         from dataclasses import dataclass
 
         @dataclass
@@ -269,11 +265,24 @@ def test_drift_exemption_annotation(tmp_path):
 
 def test_drift_broken_surface_fails_loudly(tmp_path):
     config = FlowConfig(surfaces=(
-        FingerprintSurface("pkg.spec.Renamed",
-                           "pkg.spec.Spec.fingerprint"),))
-    result = flow_tree(tmp_path, {"pkg/spec.py": SPEC_WITH_DRIFT}, config)
+        FingerprintSurface("repro.pkg.spec.Renamed",
+                           "repro.pkg.spec.Spec.fingerprint"),))
+    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
+                       config)
     assert rules_of(result) == ["fingerprint-drift"]
     assert "broken" in result.findings[0].message
+
+
+def test_drift_surface_outside_the_analysed_paths_is_skipped(tmp_path):
+    """A surface whose module the run does not analyse is out of scope,
+    not broken: analysing a subtree must not flag the rest of the
+    project's surfaces."""
+    config = FlowConfig(surfaces=DRIFT_CONFIG.surfaces + (
+        FingerprintSurface("repro.elsewhere.Spec",
+                           "repro.elsewhere.Spec.fingerprint"),))
+    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
+                       config)
+    assert [f.data["field"] for f in result.findings] == ["gamma"]
 
 
 def test_drift_detected_on_real_campaignspec_axis(tmp_path):
@@ -351,24 +360,24 @@ def test_drift_detected_on_real_arenaspec_knob(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# determinism-taint pass
+# determinism-taint check
 
 
 TAINT_CONFIG = FlowConfig(
     taint_sink_names=frozenset({"atomic_write_bytes"}),
-    taint_sink_methods=frozenset({"pkg.store.CheckpointStore.put"}),
-    taint_barriers=("pkg/obs/",))
+    taint_sink_methods=frozenset({"repro.pkg.store.CheckpointStore.put"}),
+    taint_barriers=("src/repro/pkg/obs/",))
 
 
 def test_taint_direct_source_to_sink(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/writer.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/writer.py": """\
         import time
-        from pkg.io import atomic_write_bytes
+        from repro.pkg.io import atomic_write_bytes
 
         def persist(path):
             stamp = time.time()
             atomic_write_bytes(path, str(stamp).encode())
-    """, "pkg/io.py": """\
+    """, "src/repro/pkg/io.py": """\
         def atomic_write_bytes(path, payload):
             pass
     """}, TAINT_CONFIG, select=["determinism-taint"])
@@ -379,28 +388,28 @@ def test_taint_direct_source_to_sink(tmp_path):
 
 
 def test_taint_interprocedural_chain(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/top.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/top.py": """\
         import random
-        from pkg import mid
+        from repro.pkg import mid
 
         def jitter():
             mid.hand_off(random.random())
-    """, "pkg/mid.py": """\
-        from pkg.io import atomic_write_bytes
+    """, "src/repro/pkg/mid.py": """\
+        from repro.pkg.io import atomic_write_bytes
 
         def hand_off(value):
             atomic_write_bytes("f", str(value).encode())
-    """, "pkg/io.py": """\
+    """, "src/repro/pkg/io.py": """\
         def atomic_write_bytes(path, payload):
             pass
     """}, TAINT_CONFIG, select=["determinism-taint"])
     assert rules_of(result) == ["determinism-taint"]
     assert result.findings[0].data["chain"] == \
-        ["pkg.top.jitter", "pkg.mid.hand_off"]
+        ["repro.pkg.top.jitter", "repro.pkg.mid.hand_off"]
 
 
 def test_taint_seeded_rng_is_clean(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/writer.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/writer.py": """\
         import numpy as np
         import random
 
@@ -416,18 +425,19 @@ def test_taint_seeded_rng_is_clean(tmp_path):
 
 
 def test_taint_barrier_stops_propagation(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/top.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/top.py": """\
         import time
-        from pkg.obs import context
+        from repro.pkg.obs import context
 
         def annotate():
             context.emit(time.time())
-    """, "pkg/obs/__init__.py": "", "pkg/obs/context.py": """\
-        from pkg.io import atomic_write_bytes
+    """, "src/repro/pkg/obs/__init__.py": "",
+        "src/repro/pkg/obs/context.py": """\
+        from repro.pkg.io import atomic_write_bytes
 
         def emit(stamp):
             atomic_write_bytes("m", str(stamp).encode())
-    """, "pkg/io.py": """\
+    """, "src/repro/pkg/io.py": """\
         def atomic_write_bytes(path, payload):
             pass
     """}, TAINT_CONFIG, select=["determinism-taint"])
@@ -435,13 +445,13 @@ def test_taint_barrier_stops_propagation(tmp_path):
 
 
 def test_taint_method_sink_via_typed_local(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/store.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/store.py": """\
         class CheckpointStore:
             def put(self, key, payload):
                 pass
-    """, "pkg/writer.py": """\
+    """, "src/repro/pkg/writer.py": """\
         import os
-        from pkg.store import CheckpointStore
+        from repro.pkg.store import CheckpointStore
 
         def persist():
             store = CheckpointStore()
@@ -449,12 +459,12 @@ def test_taint_method_sink_via_typed_local(tmp_path):
     """}, TAINT_CONFIG, select=["determinism-taint"])
     assert rules_of(result) == ["determinism-taint"]
     assert result.findings[0].data["sink"] == \
-        "pkg.store.CheckpointStore.put"
+        "repro.pkg.store.CheckpointStore.put"
     assert "os.environ" in result.findings[0].data["source"]
 
 
 def test_taint_set_iteration_and_suppression(tmp_path):
-    files = {"pkg/writer.py": """\
+    files = {"src/repro/pkg/writer.py": """\
         def persist(items):
             for item in set(items):{suffix}
                 atomic_write_bytes("f", str(item).encode())
@@ -480,14 +490,14 @@ def test_taint_set_iteration_and_suppression(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fail-secure-flow pass
+# fail-secure-flow check
 
 
-SECURE_CONFIG = FlowConfig(failsecure_boundaries=("pkg/serve.py",))
+SECURE_CONFIG = FlowConfig(failsecure_boundaries=("src/repro/pkg/serve.py",))
 
 
 def secure_tree(tmp_path, body):
-    return flow_tree(tmp_path, {"pkg/serve.py": body},
+    return flow_tree(tmp_path, {"src/repro/pkg/serve.py": body},
                      SECURE_CONFIG, select=["fail-secure-flow"])
 
 
@@ -553,7 +563,7 @@ def test_failsecure_requires_all_branches(tmp_path):
 
 
 def test_failsecure_only_applies_inside_boundary(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/other.py": """\
+    result = flow_tree(tmp_path, {"src/repro/pkg/other.py": """\
         def score(detector, window):
             try:
                 return detector(window)
@@ -564,176 +574,33 @@ def test_failsecure_only_applies_inside_boundary(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# catalog-provenance pass
+# the shared nondeterminism classifier
 
 
-CATALOG_CONFIG = FlowConfig(
-    catalogs={"counter": frozenset({"l1d.hits", "l1d.misses"}),
-              "metric": frozenset({"serve.windows", "runner.failures.crash",
-                                   "runner.failures.timeout"}),
-              "event": frozenset({"run.finished"})},
-    counter_scope=("pkg/",), obs_scope=("pkg/",))
+@pytest.mark.parametrize("source, check", [
+    ("time.time()", "forbidden-clock"),
+    ("numpy.random.rand(3)", "unseeded-rng"),
+    ("[x for x in set(items)]", "set-iteration"),
+], ids=["clock", "rng", "set"])
+def test_taint_follows_every_per_file_determinism_source(tmp_path, source,
+                                                          check):
+    """A source the per-file determinism checks ban is a taint source
+    too, with the same description: both call one classifier."""
+    body = f"""\
+        import time
+        import numpy
 
+        def persist(path, items):
+            value = {source}
+            atomic_write_bytes(path, repr(value).encode())
 
-def test_catalog_variable_resolution(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/emit.py": """\
-        GOOD = "l1d.hits"
-
-        def tick(bank):
-            bank.bump(GOOD)
-            name = "l1d.misess"
-            bank.bump(name)
-    """}, CATALOG_CONFIG, select=["catalog-provenance"])
-    assert rules_of(result) == ["catalog-provenance"]
-    assert result.findings[0].data["name"] == "l1d.misess"
-    assert "l1d.misses" in result.findings[0].message   # suggestion
-
-
-def test_catalog_fstring_patterns(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/emit.py": """\
-        def report(metrics, kind, prefix):
-            metrics.inc(f"runner.failures.{kind}")
-            metrics.inc(f"runner.successes.{kind}")
-            metrics.inc(f"{prefix}.{kind}")
-    """}, CATALOG_CONFIG, select=["catalog-provenance"])
-    # failures.* matches two entries; successes.* matches none;
-    # the fully-dynamic pattern is vacuous and skipped
-    assert len(result.findings) == 1
-    assert result.findings[0].data["pattern"] == "runner.successes.*"
-
-
-def test_catalog_resolved_interpolation_and_events(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/emit.py": """\
-        STAGE = "run"
-
-        def done():
-            obs_event(f"{STAGE}.finished")
-            obs_event(f"{STAGE}.exploded")
-    """}, CATALOG_CONFIG, select=["catalog-provenance"])
-    assert len(result.findings) == 1
-    assert result.findings[0].data["name"] == "run.exploded"
-
-
-def test_catalog_dotted_only_and_exclusions(tmp_path):
-    config = dataclasses.replace(CATALOG_CONFIG,
-                                 catalog_exclude=("pkg/raw.py",))
-    result = flow_tree(tmp_path, {"pkg/emit.py": """\
-        def read(mapping):
-            key = "plain"
-            return mapping.get(key)      # undotted: not a counter name
-    """, "pkg/raw.py": """\
-        def tick(bank):
-            name = "not.a.counter"
-            bank.bump(name)              # excluded path
-    """}, config, select=["catalog-provenance"])
-    assert result.findings == []
-
-
-# ---------------------------------------------------------------------------
-# engine, baseline, reporters, CLI
-
-
-def test_engine_reports_parse_errors(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/broken.py": """\
-        def f(:
-    """}, FlowConfig())
-    assert rules_of(result) == ["parse-error"]
-
-
-def test_engine_unknown_pass_raises(tmp_path):
-    with pytest.raises(FlowUsageError):
-        flow_tree(tmp_path, {"pkg/a.py": "x = 1\n"}, FlowConfig(),
-                  select=["no-such-pass"])
-
-
-def test_baseline_roundtrip_and_split(tmp_path):
-    first = flow_tree(tmp_path, {"pkg/spec.py": SPEC_WITH_DRIFT},
-                      DRIFT_CONFIG)
-    assert len(first.findings) == 1
-    accepted = Baseline.from_findings(first.findings, reason="known debt")
-    target = tmp_path / ".flow-baseline.json"
-    accepted.save(target)
-    loaded = Baseline.load(target)
-    assert loaded.accepted == \
-        {("fingerprint-drift", baseline_key(first.findings[0]))}
-    second = run_flow([tmp_path], root=tmp_path, config=DRIFT_CONFIG,
-                      baseline=loaded)
-    assert second.findings == []
-    assert len(second.baselined) == 1
-    payload = json.loads(target.read_text())
-    assert payload["schema"] == BASELINE_SCHEMA
-
-
-def test_baseline_key_survives_line_churn(tmp_path):
-    shifted = "# a leading comment\n" + textwrap.dedent(SPEC_WITH_DRIFT)
-    a = flow_tree(tmp_path / "a", {"pkg/spec.py": SPEC_WITH_DRIFT},
-                  DRIFT_CONFIG)
-    b = flow_tree(tmp_path / "b", {"pkg/spec.py": shifted}, DRIFT_CONFIG)
-    assert baseline_key(a.findings[0]) == baseline_key(b.findings[0])
-    assert a.findings[0].line != b.findings[0].line
-
-
-def test_render_json_schema(tmp_path):
-    result = flow_tree(tmp_path, {"pkg/spec.py": SPEC_WITH_DRIFT},
-                       DRIFT_CONFIG)
-    payload = render_json(result, root=tmp_path)
-    assert payload["schema"] == JSON_SCHEMA == "repro-flow/1"
-    assert payload["summary"]["new"] == 1
-    assert payload["passes"] == ["fingerprint-drift", "determinism-taint",
-                                 "fail-secure-flow", "catalog-provenance"]
-    assert payload["findings"][0]["rule"] == "fingerprint-drift"
-
-
-def test_cli_exit_codes(tmp_path, capsys):
-    # 0: the real tree against its committed baseline
-    assert flow_main([str(REPO / "src" / "repro"),
-                      "--root", str(REPO)]) == 0
-    # 1: a fixture tree has none of the DEFAULT_CONFIG surfaces, which
-    # must fail loudly as broken-surface findings
-    (tmp_path / "empty.py").write_text("x = 1\n")
-    assert flow_main([str(tmp_path), "--root", str(tmp_path),
-                      "--no-baseline"]) == 1
-    # 2: unknown pass selection
-    assert flow_main([str(tmp_path), "--root", str(tmp_path),
-                      "--select", "no-such-pass"]) == 2
-    capsys.readouterr()
-
-
-def test_cli_json_out_and_write_baseline(tmp_path, capsys):
-    (tmp_path / "empty.py").write_text("x = 1\n")
-    out = tmp_path / "findings.json"
-    flow_main([str(tmp_path), "--root", str(tmp_path), "--no-baseline",
-               "--json-out", str(out)])
-    payload = json.loads(out.read_text())
-    assert payload["schema"] == "repro-flow/1"
-    assert payload["summary"]["new"] > 0
-    # accepting the debt into a baseline turns the same run clean
-    assert flow_main([str(tmp_path), "--root", str(tmp_path),
-                      "--write-baseline"]) == 0
-    assert flow_main([str(tmp_path), "--root", str(tmp_path)]) == 0
-    capsys.readouterr()
-
-
-def test_shared_cache_parses_each_file_once(tmp_path):
-    files = {"src/repro/sim/a.py": "def f():\n    return 1\n",
-             "src/repro/sim/b.py": "def g():\n    return 2\n"}
-    write_tree(tmp_path, files)
-    cache = SourceCache()
-    LintEngine(root=tmp_path, cache=cache).run([tmp_path])
-    after_lint = cache.parses
-    assert after_lint == len(files)
-    FlowEngine(config=FlowConfig(), root=tmp_path, cache=cache).run(
-        [tmp_path])
-    assert cache.parses == after_lint   # flow re-used every parse
-
-
-def test_flow_self():
-    """The repo passes its own whole-program verifier against the
-    committed baseline — the same invariant scripts/ci.sh enforces."""
-    baseline_file = REPO / ".flow-baseline.json"
-    baseline = Baseline.load(baseline_file) if baseline_file.exists() \
-        else None
-    result = run_flow([REPO / "src" / "repro"], root=REPO,
-                      baseline=baseline)
-    assert result.findings == [], \
-        "\n".join(f.location() + " " + f.message for f in result.findings)
+        def atomic_write_bytes(path, payload):
+            pass
+    """
+    result = flow_tree(tmp_path, {"src/repro/pkg/writer.py": body},
+                       TAINT_CONFIG, select=["determinism-taint"])
+    assert rules_of(result) == ["determinism-taint"]
+    tree = ast.parse(textwrap.dedent(body))
+    [(kind, description, _, _)] = nondeterminism_sources(ast.walk(tree))
+    assert kind == check
+    assert result.findings[0].data["source"] == description

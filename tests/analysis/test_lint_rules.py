@@ -1,24 +1,21 @@
-"""Contract-linter tests: per-rule good/bad fixtures, suppressions,
-reporter schema, CLI exit codes, and the self-lint gate.
+"""Per-file check tests: good/bad fixtures for every per-file check,
+suppressions, engine behaviour, the reporters and the CLI exit codes.
 
 Fixture trees are written under ``tmp_path`` using repo-shaped relative
-paths (``src/repro/sim/...``) because scoped rules key off
+paths (``src/repro/sim/...``) because scoped checks key off
 engine-root-relative prefixes — which also exercises the scoping
 itself.
 """
 
 import json
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    ERROR, JSON_SCHEMA, LintUsageError, render_json, render_text, run_lint,
-)
-from repro.analysis.lint.cli import main as lint_main
+from repro.analysis.cli import JSON_SCHEMA, render_json, render_text
+from repro.analysis.cli import main as analysis_main
+from repro.analysis.engine import AnalysisUsageError, run
 from repro.obs.names import EVENTS
 from repro.sim.hpc import COUNTER_NAMES
 
@@ -29,12 +26,12 @@ AN_EVENT = next(iter(sorted(EVENTS)))
 
 
 def lint_tree(tmp_path, files, select=None, ignore=None):
-    """Write ``{relpath: source}`` under ``tmp_path`` and lint it."""
+    """Write ``{relpath: source}`` under ``tmp_path`` and analyse it."""
     for relpath, source in files.items():
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
-    return run_lint([tmp_path], root=tmp_path, select=select, ignore=ignore)
+    return run(root=tmp_path, select=select, ignore=ignore)
 
 
 def rules_of(result):
@@ -42,7 +39,7 @@ def rules_of(result):
 
 
 # ---------------------------------------------------------------------------
-# determinism rules
+# determinism checks
 
 
 def test_forbidden_clock_flags_wall_clock(tmp_path):
@@ -53,7 +50,6 @@ def test_forbidden_clock_flags_wall_clock(tmp_path):
     assert rules_of(result) == ["forbidden-clock"]
     finding = result.findings[0]
     assert finding.line == 2
-    assert finding.severity == ERROR
     assert finding.data == {"call": "time.time"}
 
 
@@ -102,11 +98,11 @@ def test_determinism_scope_covers_attacks_and_arena(tmp_path):
 
 
 def test_attacks_tree_passes_its_own_determinism_rules():
-    """The satellite contract itself: the real ``attacks/`` + ``arena/``
-    sources carry no module-level RNG or wall-clock reads."""
-    result = run_lint([REPO / "src" / "repro" / "attacks",
-                       REPO / "src" / "repro" / "arena"], root=REPO,
-                      select=["unseeded-rng", "forbidden-clock"])
+    """The real ``attacks/`` + ``arena/`` sources carry no module-level
+    RNG or wall-clock reads."""
+    result = run([REPO / "src" / "repro" / "attacks",
+                  REPO / "src" / "repro" / "arena"], root=REPO,
+                 select=["unseeded-rng", "forbidden-clock"])
     assert result.findings == []
 
 
@@ -236,18 +232,20 @@ def test_broad_except_allows_reraise_and_typed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# catalog rules
+# catalog checks
 
 
 def test_catalog_counters_flags_unknown_literal(tmp_path):
     result = lint_tree(tmp_path, {"src/repro/sim/x.py": f"""\
-        def run(bank):
+        def run(bank, kind):
             bank.bump({A_COUNTER!r})
             bank.bump("no.such.counter")
             bank.bump(f"dyn.{{kind}}")
     """})
-    assert rules_of(result) == ["catalog-counters"]
+    # the literal and the f-string go through one resolver
+    assert rules_of(result) == ["catalog-counters"] * 2
     assert result.findings[0].data == {"name": "no.such.counter"}
+    assert result.findings[1].data == {"pattern": "dyn.*"}
 
 
 def test_catalog_counters_dict_get_is_not_a_counter(tmp_path):
@@ -279,6 +277,66 @@ def test_catalog_events_flags_unknown_literal(tmp_path):
     """})
     assert rules_of(result) == ["catalog-events"]
     assert result.findings[0].data == {"name": "no.such.event"}
+
+
+def test_catalog_variable_resolution(tmp_path):
+    result = lint_tree(tmp_path, {"src/repro/sim/emit.py": f"""\
+        GOOD = {A_COUNTER!r}
+
+        def tick(bank):
+            bank.bump(GOOD)
+            name = {A_COUNTER + "s"!r}
+            bank.bump(name)
+    """})
+    assert rules_of(result) == ["catalog-counters"]
+    assert result.findings[0].data == {"name": A_COUNTER + "s"}
+    assert A_COUNTER in result.findings[0].message      # suggestion
+
+
+def test_catalog_fstring_patterns(tmp_path):
+    result = lint_tree(tmp_path, {"src/repro/serve/emit.py": """\
+        def report(metrics, kind, prefix):
+            metrics.inc(f"runner.failures.{kind}")
+            metrics.inc(f"runner.successes.{kind}")
+            metrics.inc(f"{prefix}.{kind}")
+    """})
+    # failures.* matches three entries; successes.* matches none;
+    # the fully-dynamic pattern is vacuous and skipped
+    assert rules_of(result) == ["catalog-metrics"]
+    assert result.findings[0].data == {"pattern": "runner.successes.*"}
+
+
+def test_catalog_resolved_interpolation_and_events(tmp_path):
+    result = lint_tree(tmp_path, {"src/repro/campaign/emit.py": """\
+        STAGE = "campaign"
+
+        def done():
+            obs_event(f"{STAGE}.finished")
+            obs_event(f"{STAGE}.exploded")
+    """})
+    assert rules_of(result) == ["catalog-events"]
+    assert result.findings[0].data == {"name": "campaign.exploded"}
+
+
+def test_catalog_dotted_only_variable_is_not_a_name(tmp_path):
+    result = lint_tree(tmp_path, {"src/repro/sim/emit.py": """\
+        def read(mapping):
+            key = "plain"
+            return mapping.get(key)      # undotted: not a counter name
+    """})
+    assert result.findings == []
+
+
+def test_catalog_bare_dotted_only_call_is_checked(tmp_path):
+    """A bare ``set("a.b", value)`` names a metric as surely as
+    ``registry.set("a.b", value)`` does: its literal is resolved too."""
+    result = lint_tree(tmp_path, {"src/repro/serve/emit.py": """\
+        def record(value):
+            set("not.a.metric", value)
+            set("plain")
+    """})
+    assert rules_of(result) == ["catalog-metrics"]
+    assert result.findings[0].data == {"name": "not.a.metric"}
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +511,7 @@ def test_suppression_wrong_rule_does_not_shield(tmp_path):
 def test_parse_error_is_a_finding(tmp_path):
     result = lint_tree(tmp_path, {"src/repro/sim/x.py": "def broken(:\n"})
     assert rules_of(result) == ["parse-error"]
-    assert result.findings[0].severity == ERROR
+    assert result.findings[0].line == 1
 
 
 def test_select_and_ignore_filter_rules(tmp_path):
@@ -472,14 +530,14 @@ def test_select_and_ignore_filter_rules(tmp_path):
 
 
 def test_unknown_rule_name_raises(tmp_path):
-    with pytest.raises(LintUsageError):
+    with pytest.raises(AnalysisUsageError):
         lint_tree(tmp_path, {"src/repro/sim/x.py": "x = 1\n"},
                   select=["no-such-rule"])
 
 
 def test_nonexistent_path_raises(tmp_path):
-    with pytest.raises(LintUsageError):
-        run_lint([tmp_path / "missing"], root=tmp_path)
+    with pytest.raises(AnalysisUsageError):
+        run([tmp_path / "missing"], root=tmp_path)
 
 
 def test_findings_are_sorted_and_deterministic(tmp_path):
@@ -498,28 +556,26 @@ def test_findings_are_sorted_and_deterministic(tmp_path):
 
 def test_json_reporter_schema(tmp_path):
     result = lint_tree(tmp_path, {"src/repro/sim/x.py": BAD_CLOCK + "\n"})
-    payload = render_json(result, root=tmp_path)
-    assert payload["schema"] == JSON_SCHEMA
-    assert set(payload) == {"schema", "root", "files", "rules",
+    payload = render_json(result)
+    assert payload["schema"] == JSON_SCHEMA == "repro-analysis/1"
+    assert set(payload) == {"schema", "root", "checks", "files", "index",
                             "summary", "findings"}
-    assert payload["summary"] == {"findings": 1, "error": 1,
-                                  "warning": 0, "suppressed": 0}
+    assert payload["summary"] == {"findings": 1, "suppressed": 0}
     [finding] = payload["findings"]
-    assert set(finding) == {"rule", "severity", "path", "line", "col",
-                            "message", "data"}
+    assert set(finding) == {"rule", "path", "line", "col", "message",
+                            "data"}
     assert finding["rule"] == "forbidden-clock"
-    assert {"name", "severity", "description"} <= set(payload["rules"][0])
+    assert set(payload["checks"][0]) == {"name", "kind", "description"}
     json.dumps(payload)  # must be serializable as-is
 
 
 def test_text_reporter_locations_and_summary(tmp_path):
     result = lint_tree(tmp_path, {"src/repro/sim/x.py": BAD_CLOCK + "\n"})
-    text = render_text(result)
-    assert "src/repro/sim/x.py:2:" in text
-    assert "forbidden-clock" in text
-    assert "1 finding(s) (1 error, 0 warning)" in text
+    text = render_text(result, elapsed=0.5)
+    assert "src/repro/sim/x.py:2:9: forbidden-clock: " in text
+    assert "repro-analysis: 1 finding(s) — 1 files (1 python)" in text
     clean = lint_tree(tmp_path / "clean", {"src/repro/ml/ok.py": "x = 1\n"})
-    assert "repro-lint: clean" in render_text(clean)
+    assert "repro-analysis: clean" in render_text(clean, elapsed=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -531,52 +587,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.mkdir(parents=True)
     (bad / "x.py").write_text(BAD_CLOCK + "\n")
     json_out = tmp_path / "findings.json"
-    code = lint_main([str(tmp_path), "--root", str(tmp_path),
-                      "--json-out", str(json_out)])
+    code = analysis_main([str(tmp_path), "--root", str(tmp_path),
+                          "--json-out", str(json_out)])
     assert code == 1
     assert "forbidden-clock" in capsys.readouterr().out
     payload = json.loads(json_out.read_text())
     assert payload["schema"] == JSON_SCHEMA
-    assert payload["summary"]["error"] == 1
+    assert payload["summary"]["findings"] == 1
 
     (bad / "x.py").write_text("x = 1\n")
-    assert lint_main([str(tmp_path), "--root", str(tmp_path)]) == 0
-    assert lint_main([str(tmp_path), "--select", "bogus"]) == 2
-
-
-def test_cli_json_format(tmp_path, capsys):
-    (tmp_path / "ok.py").write_text("x = 1\n")
-    assert lint_main([str(tmp_path), "--root", str(tmp_path),
-                      "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == JSON_SCHEMA
-
-
-# ---------------------------------------------------------------------------
-# the repo's own tree, and the wrapper scripts
-
-
-def test_lint_self():
-    """The repo lints clean under the default severity gate — the same
-    invariant scripts/ci.sh enforces."""
-    result = run_lint([REPO / "src", REPO / "tests", REPO / "scripts"],
-                      root=REPO)
-    assert result.failing() == [], \
-        "\n".join(f.location() + " " + f.message for f in result.failing())
-
-
-def test_check_counters_wrapper_cli():
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "check_counters.py")],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("check_counters: ")
-    assert "resolve against COUNTER_NAMES" in proc.stdout
-
-
-def test_check_docs_wrapper_cli():
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "check_docs.py")],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "all relative links ok" in proc.stdout
+    assert analysis_main(["--root", str(tmp_path)]) == 0
+    assert analysis_main([str(tmp_path), "--select", "bogus"]) == 2
+    assert analysis_main([str(tmp_path / "missing")]) == 2
