@@ -61,9 +61,13 @@ class AMGAN:
 
     def _disc_input(self, x, cond):
         """[x, cond, x (x) cond]: the widened single-layer input."""
-        n = len(x)
-        interact = (x[:, :, None] * cond[:, None, :]).reshape(n, -1)
-        return np.hstack([x, cond, interact])
+        (n, d), c = x.shape, cond.shape[1]
+        out = np.empty((n, d + c + d * c))
+        out[:, :d] = x
+        out[:, d:d + c] = cond
+        np.multiply(x[:, :, None], cond[:, None, :],
+                    out=out[:, d + c:].reshape(n, d, c))
+        return out
 
     # -- conditioning -----------------------------------------------------------------
 
@@ -75,8 +79,12 @@ class AMGAN:
         return vec
 
     def _conditions(self, categories, targets):
-        return np.vstack([self.condition(c, t)
-                          for c, t in zip(categories, targets)])
+        """One :meth:`condition` row per (category, target) pair."""
+        cond = np.zeros((len(targets), self.cond_dim))
+        cond[np.arange(len(targets)),
+             [self.categories.index(c) for c in categories]] = 1.0
+        cond[:, -1] = targets
+        return cond
 
     # -- training ----------------------------------------------------------------------
 
@@ -243,8 +251,7 @@ class AMGAN:
         grad_interact = grad_d_in[:, d + c:].reshape(len(fake), d, c)
         grad_fake += (grad_interact * cond[:, None, :]).sum(axis=2)
         self.generator.backward(grad_fake)
-        self.generator.optimizer.step(self.generator.parameters,
-                                      self.generator.gradients)
+        self.generator.step()
 
     def _feature_match_step(self, category, target, real_mean,
                             real_second_moment=None, batch=16, weight=4.0):
@@ -263,8 +270,7 @@ class AMGAN:
             m2_err = (fake ** 2).mean(axis=0) - real_second_moment
             grad = grad + weight * 4.0 * fake * m2_err[None, :] / batch
         self.generator.backward(grad)
-        self.generator.optimizer.step(self.generator.parameters,
-                                      self.generator.gradients)
+        self.generator.step()
 
     def _mean_style_loss(self, style_reference):
         losses = []

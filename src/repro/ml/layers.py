@@ -24,12 +24,11 @@ def _leaky_relu_grad(x, y):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, both from e = e^-|x|,
+    # so neither branch can overflow
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _sigmoid_grad(x, y):
@@ -146,9 +145,22 @@ class Dense:
         if self._x is None:
             raise RuntimeError("backward() called before forward(train=True)")
         dz = grad_out * self._act_grad(self._z, self._y)
-        self.grad_weights = self._x.T @ dz
-        self.grad_bias = dz.sum(axis=0)
+        np.matmul(self._x.T, dz, out=self.grad_weights)
+        dz.sum(axis=0, out=self.grad_bias)
         return dz @ self.weights.T
+
+    def bind(self, params, grads, offset):
+        """Re-home ``weights``, ``bias`` and their gradients as views into
+        the flat ``params`` / ``grads`` vectors from ``offset`` on (the
+        values must already be there); returns the offset past them."""
+        shape = self.weights.shape
+        mid = offset + self.weights.size
+        end = mid + self.bias.size
+        self.weights = params[offset:mid].reshape(shape)
+        self.bias = params[mid:end]
+        self.grad_weights = grads[offset:mid].reshape(shape)
+        self.grad_bias = grads[mid:end]
+        return end
 
     @property
     def parameters(self):

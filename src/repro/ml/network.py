@@ -20,6 +20,14 @@ _OBS_LOSS = _REG.gauge("ml.train.loss")
 class MLP:
     """Sequential stack of dense layers.
 
+    All parameters live in one contiguous float64 vector,
+    :attr:`param_vector`, and all gradients in :attr:`grad_vector`; each
+    layer's ``weights``, ``bias``, ``grad_weights`` and ``grad_bias`` are
+    reshaped views into them, so one optimizer step or one guard check
+    covers the whole network.  Code that restores parameters must write
+    into those arrays in place, never rebind them (docs/ml.md,
+    "Parameter layout").
+
     Parameters
     ----------
     layer_dims:
@@ -42,6 +50,15 @@ class MLP:
             Dense(layer_dims[i], layer_dims[i + 1], activations[i], rng)
             for i in range(len(activations))
         ]
+        sizes = [p.size for p in self.parameters]
+        self.param_vector = np.concatenate(
+            [p.ravel() for p in self.parameters])
+        self.grad_vector = np.zeros_like(self.param_vector)
+        #: where each array of :attr:`parameters` starts in the vectors
+        self.segment_starts = np.cumsum([0] + sizes[:-1])
+        offset = 0
+        for layer in self.layers:
+            offset = layer.bind(self.param_vector, self.grad_vector, offset)
         self.loss = loss if loss is not None else BinaryCrossEntropy()
         self.optimizer = optimizer if optimizer is not None else Adam()
 
@@ -61,6 +78,11 @@ class MLP:
             grad = layer.backward(grad)
         return grad
 
+    def step(self):
+        """Apply the optimizer to the gradients of the last
+        :meth:`backward`: one update of the whole parameter vector."""
+        self.optimizer.step([self.param_vector], [self.grad_vector])
+
     def train_batch(self, x, target):
         """One optimizer step on a batch; returns the pre-step loss value."""
         start = time.perf_counter()
@@ -70,7 +92,7 @@ class MLP:
         pred = self.forward(x, train=True)
         loss_value = self.loss.value(pred, target)
         self.backward(self.loss.gradient(pred, target))
-        self.optimizer.step(self.parameters, self.gradients)
+        self.step()
         _OBS_BATCHES.inc()
         _OBS_LOSS.set(loss_value)
         _OBS_BATCH_SECONDS.observe(time.perf_counter() - start)
@@ -83,7 +105,7 @@ class MLP:
         start = time.perf_counter()
         self.forward(x, train=True)
         grad_in = self.backward(grad_out)
-        self.optimizer.step(self.parameters, self.gradients)
+        self.step()
         _OBS_BATCHES.inc()
         _OBS_BATCH_SECONDS.observe(time.perf_counter() - start)
         return grad_in
@@ -123,7 +145,7 @@ class MLP:
 
     @property
     def num_parameters(self):
-        return sum(p.size for p in self.parameters)
+        return self.param_vector.size
 
     def clone_architecture(self, seed=0):
         """A freshly initialized network with the same shape."""

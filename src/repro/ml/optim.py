@@ -1,6 +1,22 @@
-"""Gradient-descent optimizers operating on (parameter, gradient) pairs."""
+"""Gradient-descent optimizers operating on (parameter, gradient) pairs.
+
+Both update their state and the parameters in place through scratch
+arrays kept per parameter, so a step allocates nothing once the first
+one has run.  Each element goes through the same floating-point
+operations in the same order as the textbook expressions in the
+comments, which keeps training bit-identical whether the parameters
+arrive as one flat vector (``MLP.step``) or as separate arrays.
+"""
 
 import numpy as np
+
+
+def _scratch_arrays(store, i, p, count):
+    """``count`` scratch arrays shaped like ``p``, reused across steps."""
+    arrays = store.get(i)
+    if arrays is None:
+        arrays = store[i] = tuple(np.empty_like(p) for _ in range(count))
+    return arrays
 
 
 class SGD:
@@ -10,18 +26,22 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self._velocity = {}
+        self._scratch = {}
 
     def step(self, params, grads):
         for i, (p, g) in enumerate(zip(params, grads)):
+            (lr_g,) = _scratch_arrays(self._scratch, i, p, 1)
+            np.multiply(g, self.lr, out=lr_g)
             if self.momentum:
+                # v = momentum * v - lr * g;  p += v
                 v = self._velocity.get(i)
                 if v is None:
-                    v = np.zeros_like(p)
-                v = self.momentum * v - self.lr * g
-                self._velocity[i] = v
+                    v = self._velocity[i] = np.zeros_like(p)
+                v *= self.momentum
+                v -= lr_g
                 p += v
             else:
-                p -= self.lr * g
+                p -= lr_g                      # p -= lr * g
 
 
 class Adam:
@@ -35,19 +55,34 @@ class Adam:
         self._m = {}
         self._v = {}
         self._t = 0
+        self._scratch = {}
 
     def step(self, params, grads):
         self._t += 1
         b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self._t
+        c2 = 1.0 - b2 ** self._t
         for i, (p, g) in enumerate(zip(params, grads)):
             m = self._m.get(i)
             if m is None:
-                m = np.zeros_like(p)
+                m = self._m[i] = np.zeros_like(p)
                 self._v[i] = np.zeros_like(p)
             v = self._v[i]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            self._m[i], self._v[i] = m, v
-            m_hat = m / (1.0 - b1 ** self._t)
-            v_hat = v / (1.0 - b2 ** self._t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            a, b = _scratch_arrays(self._scratch, i, p, 2)
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(g, 1.0 - b1, out=a)
+            m *= b1
+            m += a
+            # v = b2 * v + ((1 - b2) * g) * g
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v *= b2
+            v += a
+            # p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a

@@ -24,6 +24,8 @@ detector fitting.  Three pieces, documented in
   ``repro train`` resumes bit-exact instead of restarting from scratch.
 """
 
+import math
+
 import numpy as np
 
 from repro.obs import metrics, obs_event
@@ -138,27 +140,40 @@ def set_rng_state(rng, state):
     rng.bit_generator.state = state
 
 
-def _clone_optimizer_state(optimizer):
+def _moments(optimizer):
+    """The optimizer's per-parameter state dicts: Adam's ``m`` and ``v``,
+    or SGD's velocity."""
     if hasattr(optimizer, "_m"):
-        return ("adam", optimizer._t,
-                {i: v.copy() for i, v in optimizer._m.items()},
-                {i: v.copy() for i, v in optimizer._v.items()})
-    return ("sgd", {i: v.copy()
-                    for i, v in getattr(optimizer, "_velocity", {}).items()})
+        return (optimizer._m, optimizer._v)
+    return (getattr(optimizer, "_velocity", {}),)
+
+
+def _clone_optimizer_state(optimizer):
+    return (getattr(optimizer, "_t", None),
+            [{i: a.copy() for i, a in d.items()}
+             for d in _moments(optimizer)])
 
 
 def _restore_optimizer_state(optimizer, clone):
-    if clone[0] == "adam":
-        _, optimizer._t, m, v = clone
-        optimizer._m = {i: a.copy() for i, a in m.items()}
-        optimizer._v = {i: a.copy() for i, a in v.items()}
-    else:
-        optimizer._velocity = {i: a.copy() for i, a in clone[1].items()}
+    t, saved = clone
+    if t is not None:
+        optimizer._t = t
+    for live, arrays in zip(_moments(optimizer), saved):
+        if not arrays:
+            live.clear()          # the snapshot predates the first step
+        for i, a in arrays.items():
+            np.copyto(live[i], a)
 
 
 # ---------------------------------------------------------------------------
 # the guard
 # ---------------------------------------------------------------------------
+
+def _peaks(vector, starts):
+    """Peak magnitude of each array laid out in ``vector`` from
+    ``starts``; NaN wherever an array holds a NaN."""
+    return np.maximum.reduceat(np.abs(vector), starts).tolist()
+
 
 class TrainingGuard:
     """Divergence watchdog for an optimization loop.
@@ -256,7 +271,7 @@ class TrainingGuard:
     def take_snapshot(self, step):
         """In-memory copy of every watched network + the RNG state."""
         self._snapshot = {
-            name: ([p.copy() for p in net.parameters],
+            name: (net.param_vector.copy(),
                    _clone_optimizer_state(net.optimizer))
             for name, net in self._networks.items()
         }
@@ -268,8 +283,7 @@ class TrainingGuard:
     def _restore_snapshot(self):
         for name, net in self._networks.items():
             params, opt_clone = self._snapshot[name]
-            for live, saved in zip(net.parameters, params):
-                live[:] = saved
+            np.copyto(net.param_vector, params)
             _restore_optimizer_state(net.optimizer, opt_clone)
         if self._rng is not None and "__rng__" in self._snapshot:
             set_rng_state(self._rng, self._snapshot["__rng__"])
@@ -277,21 +291,26 @@ class TrainingGuard:
     # -- detection ---------------------------------------------------------
 
     def _classify(self, loss):
-        """The first anomaly found, or ``None``."""
+        """The first anomaly found, or ``None``.
+
+        Per network, one ``reduceat`` over each flat vector gives every
+        parameter and gradient array its peak magnitude.  ``maximum``
+        propagates NaN and inf, so a non-finite peak is a non-finite
+        array.  The peaks are walked in array order: NaN before magnitude
+        within an array, parameters before gradients, networks in order.
+        """
         if loss is not None and not np.isfinite(loss):
             return NAN, f"non-finite loss {loss!r}"
         for name, net in self._networks.items():
-            for p in net.parameters:
-                if not np.isfinite(p).all():
+            for peak in _peaks(net.param_vector, net.segment_starts):
+                if not math.isfinite(peak):
                     return NAN, f"non-finite parameters in {name}"
-                peak = np.abs(p).max() if p.size else 0.0
                 if peak > self.param_limit:
                     return LOSS_DIVERGENCE, (
                         f"parameter magnitude {peak:.3g} in {name} "
                         f"(limit {self.param_limit:g})")
-            for g in net.gradients:
-                peak = np.abs(g).max() if g.size else 0.0
-                if not np.isfinite(peak) or peak > self.grad_limit:
+            for peak in _peaks(net.grad_vector, net.segment_starts):
+                if not math.isfinite(peak) or peak > self.grad_limit:
                     return GRAD_SPIKE, (f"gradient peak {peak:.3g} in "
                                         f"{name} (limit {self.grad_limit:g})")
         if loss is not None and self._ema is not None and \
@@ -361,12 +380,19 @@ class TrainingGuard:
         return self._snapshot_step
 
     def _sanitize(self):
+        """The ``clip`` repair: non-finite parameters -> 0 (±inf ->
+        ±``clip_limit``), magnitudes clipped, and non-finite optimizer
+        moments zeroed -- a NaN gradient has poisoned those too, and
+        left alone they would make the parameters NaN again next step."""
         for net in self._networks.values():
-            for p in net.parameters:
-                np.nan_to_num(p, copy=False, nan=0.0,
-                              posinf=self.clip_limit,
-                              neginf=-self.clip_limit)
-                np.clip(p, -self.clip_limit, self.clip_limit, out=p)
+            p = net.param_vector
+            np.nan_to_num(p, copy=False, nan=0.0, posinf=self.clip_limit,
+                          neginf=-self.clip_limit)
+            np.clip(p, -self.clip_limit, self.clip_limit, out=p)
+            for moments in _moments(net.optimizer):
+                for a in moments.values():
+                    np.nan_to_num(a, copy=False, nan=0.0, posinf=0.0,
+                                  neginf=0.0)
 
     # -- accounting --------------------------------------------------------
 
@@ -382,6 +408,12 @@ class TrainingGuard:
 # durable checkpoints
 # ---------------------------------------------------------------------------
 
+#: layout of a stored training snapshot, kept in the checkpoint's context
+#: so resuming one written in another layout is refused up front.  2: one
+#: optimizer ``m``/``v`` (or velocity) list per network, not per array.
+CHECKPOINT_FORMAT = "repro.train-ckpt/2"
+
+
 class TrainingCheckpointer:
     """Periodic durable training snapshots over a
     :class:`~repro.runtime.checkpoint.CheckpointStore`.
@@ -392,7 +424,8 @@ class TrainingCheckpointer:
     ``extra`` payload (style history, the writing run's id for lineage).
     ``resume=True`` validates the stored context against this build's
     (:class:`~repro.runtime.errors.CheckpointError` on mismatch — a
-    checkpoint from a different configuration must not be resumed).
+    checkpoint from a different configuration, or in another
+    :data:`CHECKPOINT_FORMAT`, must not be resumed).
     """
 
     def __init__(self, directory, context, interval=100, resume=False):
@@ -400,7 +433,8 @@ class TrainingCheckpointer:
         self.interval = interval
         self.resume = resume
         self.store = CheckpointStore(directory)
-        self.store.open(dict(context), resume=resume)
+        self.store.open(dict(context, format=CHECKPOINT_FORMAT),
+                        resume=resume)
 
     def due(self, iteration):
         return self.interval > 0 and iteration > 0 and \

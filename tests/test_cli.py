@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -137,6 +138,34 @@ def test_train_resume_context_mismatch_exits_2(tmp_path, capsys,
               "--seed", "1", "--resume", "--no-manifest"])
     assert err.value.code == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_train_resume_refuses_previous_checkpoint_format(tmp_path, capsys,
+                                                         small_dataset):
+    """A checkpoint in the per-array layout (optimizer moments stored per
+    weight and bias array, no format in its context) is refused with one
+    line and exit 2, not resumed into the flat-vector optimizer."""
+    from repro.data import save_dataset
+    from repro.ml.resilience import TrainingCheckpointer
+    from repro.runtime.checkpoint import CheckpointStore
+    corpus = str(tmp_path / "corpus")
+    save_dataset(small_dataset, corpus)
+    ck = str(tmp_path / "ck")
+    args = ["train", corpus, "--iterations", "10", "--checkpoint-dir", ck,
+            "--checkpoint-every", "5", "--seed", "0", "--no-manifest"]
+    assert main(args) == 0
+    capsys.readouterr()
+    context = {"corpus": corpus, "seed": 0}
+    payload = TrainingCheckpointer(ck, context, resume=True).load("gan")
+    for state in payload["networks"].values():
+        arrays = [np.asarray(a) for layer in state["layers"]
+                  for a in (layer["weights"], layer["bias"])]
+        for key in ("m", "v"):
+            state["optimizer"][key] = {str(i): np.zeros_like(a).tolist()
+                                       for i, a in enumerate(arrays)}
+    CheckpointStore(ck).open(context).put("gan", payload)
+    args[args.index("--iterations") + 1] = "20"      # train on from 10
+    _expect_exit2(args + ["--resume"], capsys, ck)
 
 
 @pytest.mark.slow
