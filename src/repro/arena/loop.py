@@ -37,6 +37,7 @@ completed with holes, 2 = fatal (raised as
 :class:`~repro.core.patching.ModelSchemaError` and mapped by the CLI).
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -607,19 +608,20 @@ def _evaluate_population(spec, population, generation, processes, retries,
                         retries=retries, timeout=task_timeout,
                         validator=validate_evaluation)
     evaluations, gen_holes = {}, []
-    for outcome in runner.run(tasks):
-        index = int(outcome.key.split(":")[1])
-        if outcome.ok:
-            evaluations[index] = outcome.value
-            reg.inc("arena.genomes.evaluated")
-        else:
-            gen_holes.append({"generation": generation,
-                              "kind": outcome.kind, "key": outcome.key,
-                              "message": outcome.message})
-            reg.inc("arena.genomes.holes")
-            obs_event("arena.hole", level="error", generation=generation,
-                      kind=outcome.kind, key=outcome.key,
-                      message=outcome.message)
+    with contextlib.closing(runner.run(tasks)) as outcomes:
+        for outcome in outcomes:
+            index = int(outcome.key.split(":")[1])
+            if outcome.ok:
+                evaluations[index] = outcome.value
+                reg.inc("arena.genomes.evaluated")
+            else:
+                gen_holes.append({"generation": generation,
+                                  "kind": outcome.kind, "key": outcome.key,
+                                  "message": outcome.message})
+                reg.inc("arena.genomes.holes")
+                obs_event("arena.hole", level="error",
+                          generation=generation, kind=outcome.kind,
+                          key=outcome.key, message=outcome.message)
     return evaluations, gen_holes
 
 

@@ -1,9 +1,11 @@
 """Forked-worker entry points for the arena's genome evaluation fan-out.
 
-Each genome is simulated in an isolated :class:`~repro.runtime.runner`
+Each genome is simulated in a forked :class:`~repro.runtime.runner`
 worker process: the worker rebuilds the attack from its genome dict,
 runs the full simulation, checks whether the channel actually leaked,
-and ships the raw HPC windows back to the parent.  Scoring against the
+and ships the raw HPC windows back to the parent.  Failures are
+isolated per attempt, and a worker may have evaluated earlier genomes,
+so the result depends only on the payload.  Scoring against the
 incumbent detector happens in the *parent* — the detector never crosses
 the process boundary, so a candidate promotion mid-campaign can never
 race a stale copy in a worker.

@@ -1,9 +1,11 @@
 """Fault-isolated campaign execution.
 
 :func:`run_campaign` fans the expanded matrix out over
-:class:`repro.runtime.TaskRunner` — one isolated worker process per
-cell, with timeouts and deterministic-backoff retries — and degrades
-gracefully by construction:
+:class:`repro.runtime.TaskRunner` — forked worker processes with
+failures isolated per attempt, timeouts and deterministic-backoff
+retries — and degrades gracefully by construction.  A worker runs cell
+after cell until an attempt fails, so :func:`run_cell` must be, and is,
+a pure function of its payload and attempt:
 
 * a crashed / hung / divergent cell is quarantined into the failure
   taxonomy (plus the campaign-specific ``cache_corrupt`` kind) and
@@ -26,6 +28,7 @@ with holes, 2 = fatal (bad spec / unusable campaign directory — raised
 as :class:`~repro.runtime.errors.CampaignError` and mapped by the CLI).
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -63,7 +66,7 @@ PENDING = "pending"
 # -- the worker ---------------------------------------------------------------
 
 def run_cell(payload, attempt=1):
-    """Execute one matrix cell in an isolated worker process.
+    """Execute one matrix cell in a forked worker process.
 
     ``payload`` is ``(config, kill_attempts)`` where ``config`` is the
     cell's canonical config dict; returns the cell's small, canonical
@@ -422,23 +425,24 @@ def run_campaign(spec, directory, *, processes=None, retries=1,
     runner = TaskRunner(run_cell, processes=processes, retries=retries,
                         timeout=task_timeout,
                         validator=validate_cell_result)
-    for outcome in runner.run(tasks):
-        status = by_key[outcome.key]
-        status.attempts = outcome.attempts
-        if outcome.ok:
-            _persist_cell(cache, status, outcome.value, chaos, reg)
-        else:
-            status.state = HOLE
-            status.kind = outcome.kind
-            status.message = outcome.message
-            reg.inc("campaign.cells.holes")
-            obs_event("campaign.hole", level="error",
-                      key=status.cell.key, kind=outcome.kind,
-                      message=outcome.message)
-        reg.observe("campaign.cell.seconds", outcome.elapsed)
-        ledger.flush()
-        if progress is not None:
-            progress(status)
+    with contextlib.closing(runner.run(tasks)) as outcomes:
+        for outcome in outcomes:
+            status = by_key[outcome.key]
+            status.attempts = outcome.attempts
+            if outcome.ok:
+                _persist_cell(cache, status, outcome.value, chaos, reg)
+            else:
+                status.state = HOLE
+                status.kind = outcome.kind
+                status.message = outcome.message
+                reg.inc("campaign.cells.holes")
+                obs_event("campaign.hole", level="error",
+                          key=status.cell.key, kind=outcome.kind,
+                          message=outcome.message)
+            reg.observe("campaign.cell.seconds", outcome.elapsed)
+            ledger.flush()
+            if progress is not None:
+                progress(status)
 
     elapsed = ledger.flush()
     result = CampaignResult(spec=spec, statuses=statuses, elapsed=elapsed,

@@ -14,6 +14,7 @@ periods, or an empty matrix raise :class:`CampaignSpecError` before any
 worker is launched (the CLI maps this to exit 2, the fatal tier).
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -71,8 +72,9 @@ class CampaignCell:
                 "max_cycles": self.max_cycles,
                 "tenancy": self.tenancy}
 
-    @property
+    @functools.cached_property
     def fingerprint(self):
+        """SHA-256 of :meth:`config`, hashed once per (frozen) cell."""
         return config_fingerprint(self.config())
 
 

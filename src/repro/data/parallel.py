@@ -10,8 +10,10 @@ wedged worker destroyed the whole build and the full result list was
 buffered in memory before any record reached the dataset.  It is now
 built on :class:`repro.runtime.TaskRunner`:
 
-* each source runs in its own worker with a timeout and bounded,
-  deterministically-jittered retries;
+* each source runs in a forked worker with a timeout and bounded,
+  deterministically-jittered retries; failures are isolated per
+  attempt (a failed worker is retired, so a retry starts in a fresh
+  fork), and a worker that succeeded runs the next source;
 * results stream back in submission order and are flushed into the
   dataset (and, when checkpointing, to per-source shard files plus a
   manifest) incrementally, so peak memory stays bounded and an
@@ -25,6 +27,7 @@ Record order still matches the sequential builder (all attacks in
 order, then all workloads), so the resulting dataset is interchangeable.
 """
 
+import contextlib
 import os
 import time
 
@@ -101,11 +104,10 @@ def build_dataset_resilient(attacks, workloads, config=None,
     runner = TaskRunner(_collect_one, processes=processes, retries=retries,
                         timeout=task_timeout, backoff_base=backoff_base,
                         validator=validate_records)
-    results = runner.run([t for t in tasks if t.key not in done])
-
     reg = metrics()
     started = time.monotonic()
-    with time_block("data.build.seconds"):
+    with time_block("data.build.seconds"), contextlib.closing(runner.run(
+            [t for t in tasks if t.key not in done])) as results:
         for task in tasks:
             if task.key in done:
                 payload = store.get(task.key)

@@ -30,7 +30,10 @@ CATALOG = {
     },
     "runtime": {
         "runner.tasks.queued": ("counter", "tasks submitted to TaskRunner"),
-        "runner.tasks.started": ("counter", "worker launches (incl. retries)"),
+        "runner.tasks.started": ("counter", "attempts started (incl. retries)"),
+        "runner.workers.started":
+            ("counter", "worker processes forked (reused until an attempt "
+                        "fails)"),
         "runner.tasks.finished": ("counter", "tasks completed and validated"),
         "runner.tasks.retried": ("counter", "failed attempts re-queued"),
         "runner.tasks.quarantined":

@@ -1,8 +1,8 @@
 """Resilient task-execution layer for corpus construction.
 
 ``repro.runtime`` is the fault-tolerance substrate under the data
-pipeline: isolated per-task worker processes with timeouts and
-deterministic-backoff retries (:mod:`~repro.runtime.runner`),
+pipeline: forked worker processes with failures isolated per attempt,
+timeouts and deterministic-backoff retries (:mod:`~repro.runtime.runner`),
 atomic checkpoint shards with a manifest for resumable builds
 (:mod:`~repro.runtime.checkpoint`), explicit failure accounting and
 coverage gating (:mod:`~repro.runtime.report`), and a seeded

@@ -1,10 +1,16 @@
 """Resilient task execution for corpus construction.
 
-Each task runs in its *own* worker process, so any single simulation can
-crash (exception, segfault, ``os._exit``) or wedge (infinite loop,
-sleep) without taking the rest of the corpus build with it — unlike a
-bare ``multiprocessing.Pool.map``, where one bad worker poisons the
-whole map call.  The runner provides:
+Tasks run in forked worker processes, at most ``processes`` at once.
+A worker runs attempt after attempt over a duplex pipe and goes back to
+the idle pool only after an attempt whose value passed the validator;
+a crash, exception, timeout or divergent result retires it, so every
+retry starts in a fresh fork.  Failures are isolated per *attempt*: any
+single simulation can crash (exception, segfault, ``os._exit``) or
+wedge (infinite loop, sleep) without taking the rest of the corpus
+build with it — unlike a ``multiprocessing.Pool``, where one dead
+worker breaks the pool and no task has a deadline.  A worker may have
+run earlier successful tasks, so a task's result must depend only on
+its payload and attempt number.  The runner provides:
 
 * **bounded concurrency** — at most ``processes`` workers live at once;
 * **per-task timeout** — a wedged worker is terminated at its deadline
@@ -18,9 +24,13 @@ whole map call.  The runner provides:
   soon as they are available, so the consumer can flush incrementally
   with bounded buffering instead of holding the whole corpus.
 
-The yielded items are :class:`TaskResult` (success) or
-:class:`TaskFailure` (quarantined after exhausting retries); the
-consumer decides what graceful degradation means.
+Payloads travel to the workers pickled; one that cannot be pickled
+fails only its own task, as a crash.  The yielded items are
+:class:`TaskResult` (success) or :class:`TaskFailure` (quarantined
+after exhausting retries); the consumer decides what graceful
+degradation means.  :meth:`TaskRunner.run` stops its workers when it
+returns or is closed, so a consumer that may stop early wraps it in
+:func:`contextlib.closing`.
 """
 
 import hashlib
@@ -28,10 +38,10 @@ import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.obs import metrics, obs_event
 from repro.runtime.errors import CRASH, DIVERGENT, TIMEOUT
@@ -89,51 +99,146 @@ def backoff_delay(key, attempt, base=0.05, maximum=2.0):
     return min(maximum, raw * jitter)
 
 
-def _child_entry(conn, fn, payload, attempt):
-    """Worker-process entry: run the task and ship the outcome back."""
-    try:
-        value = fn(payload, attempt)
-    # the isolation boundary: ANY task failure (incl. SystemExit /
-    # KeyboardInterrupt raised inside the task) must become a reported
-    # crash, never an unexplained silent child death
-    except BaseException as exc:  # repro-lint: disable=broad-except
+def _child_entry(conn, fn, inherited):
+    """Worker-process loop: run each pickled ``(payload, attempt)`` that
+    arrives on ``conn`` and ship the outcome back, until the parent
+    closes the pipe, dies, or an attempt fails.
+
+    ``inherited`` holds the parent-side pipe ends this fork copied, its
+    own and its siblings'.  Closing them leaves the parent the only
+    holder, so a dead parent reads as EOF here and the worker exits
+    instead of sleeping in ``recv`` for ever.
+    """
+    for end in inherited:
+        end.close()
+    while True:
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}",
-                       traceback.format_exc(limit=8)))
-        except OSError:
-            pass                 # pipe already gone; parent sees a crash
-        finally:
-            conn.close()
-        return
-    try:
-        conn.send(("ok", value))
-    # pickling an arbitrary task result can raise anything a custom
-    # __reduce__/__getstate__ chooses to; whatever it was, the outcome
-    # is the same: report "result not transferable" over the pipe
-    except Exception as exc:  # repro-lint: disable=broad-except
+            message = conn.recv_bytes()
+        except (EOFError, OSError, KeyboardInterrupt):
+            break                # shut down, or the parent is gone
         try:
-            conn.send(("error", f"result not transferable: {exc}", ""))
-        except OSError:
-            pass                 # pipe already gone; parent sees a crash
+            payload, attempt = pickle.loads(message)
+            value = fn(payload, attempt)
+        # the isolation boundary: ANY task failure (incl. SystemExit /
+        # KeyboardInterrupt raised inside the task) must become a reported
+        # crash, never an unexplained silent child death
+        except BaseException as exc:  # repro-lint: disable=broad-except
+            _report(conn, ("error", f"{type(exc).__name__}: {exc}",
+                           traceback.format_exc(limit=8)))
+            break
+        try:
+            conn.send(("ok", value))
+        # pickling an arbitrary task result can raise anything a custom
+        # __reduce__/__getstate__ chooses to; whatever it was, the outcome
+        # is the same: report "result not transferable" over the pipe
+        except Exception as exc:  # repro-lint: disable=broad-except
+            _report(conn, ("error", f"result not transferable: {exc}", ""))
+            break
     conn.close()
+
+
+def _report(conn, message):
+    try:
+        conn.send(message)
+    except OSError:
+        pass                     # pipe already gone; parent sees a crash
+
+
+class _Untransferable(Exception):
+    """A payload that cannot be pickled for the worker."""
+
+
+def _attempt_message(payload, attempt):
+    """The pickled ``(payload, attempt)`` a worker receives."""
+    try:
+        return pickle.dumps((payload, attempt), pickle.HIGHEST_PROTOCOL)
+    # pickling runs whatever __reduce__ the payload defines; any failure
+    # means the same thing: this attempt cannot reach a worker
+    except Exception as exc:
+        raise _Untransferable(
+            f"payload not transferable: {type(exc).__name__}: {exc}") from exc
+
+
+def _deliver(conn, message):
+    """Send ``message`` down ``conn``; ``False`` if the worker is gone."""
+    try:
+        conn.send_bytes(message)
+    except OSError:
+        return False
+    return True
+
+
+class _Workers:
+    """The workers of one :meth:`TaskRunner.run` call, keyed by the
+    parent's end of each one's pipe."""
+
+    def __init__(self, ctx, fn):
+        self.ctx = ctx
+        self.fn = fn
+        self.procs = {}                 # parent end -> live worker process
+        self.idle = []                  # parent ends of the idle workers
+
+    def send(self, message):
+        """Hand ``message`` to an idle worker, or to a fresh fork when
+        none is left alive; returns the parent end of the worker now
+        running it.  A worker found dead while idle (the send fails) is
+        replaced without charging the task."""
+        while self.idle:
+            conn = self.idle.pop()
+            if _deliver(conn, message):
+                return conn
+            self.stop(conn)
+        conn, child_end = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=_child_entry,
+            args=(child_end, self.fn, [*self.procs, conn]),
+            daemon=True, name="repro-task-worker")
+        proc.start()
+        child_end.close()
+        metrics().inc("runner.workers.started")
+        self.procs[conn] = proc
+        # a fork that died at once is seen by the wait as EOF: a crash
+        _deliver(conn, message)
+        return conn
+
+    def stop(self, conn, grace=5.0):
+        """Close a worker's pipe, give it ``grace`` seconds to exit on
+        the EOF, then terminate it; reaps it and returns its exit code."""
+        conn.close()
+        proc = self.procs.pop(conn)
+        proc.join(timeout=grace)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=2.0)
+            if proc.is_alive():         # pragma: no cover
+                proc.kill()
+                proc.join(timeout=2.0)
+        return proc.exitcode
+
+    def shutdown(self):
+        """Stop idle workers on EOF and terminate busy ones."""
+        idle, self.idle = self.idle, []
+        for conn in idle:
+            self.stop(conn)
+        for conn in list(self.procs):
+            self.stop(conn, grace=0.0)
 
 
 @dataclass
 class _Active:
-    """Book-keeping for one live worker process."""
+    """Book-keeping for one attempt running on a worker."""
 
     task: Task
     index: int
     attempt: int
-    proc: object
     conn: object
     started: float
     deadline: float
 
 
 class TaskRunner:
-    """Execute tasks in isolated worker processes with retries,
-    timeouts and ordered streaming of results.
+    """Execute tasks in forked worker processes with per-attempt
+    isolation, retries, timeouts and ordered streaming of results.
 
     Parameters
     ----------
@@ -174,7 +279,9 @@ class TaskRunner:
 
     def run(self, tasks):
         """Yield a ``TaskResult``/``TaskFailure`` per task, in submission
-        order, as soon as each is resolved."""
+        order, as soon as each is resolved.  The next attempt is sent
+        only once the consumer has taken every result already resolved;
+        the workers are stopped when the generator finishes or closes."""
         tasks = list(tasks)
         if not tasks:
             return
@@ -182,6 +289,7 @@ class TaskRunner:
         # (ready_time, index, attempt, first_started or None)
         pending = [(0.0, i, 1, None) for i in range(len(tasks))]
         heapq.heapify(pending)
+        workers = _Workers(self.ctx, self.fn)
         active = {}                     # conn -> _Active
         resolved = {}                   # index -> TaskResult | TaskFailure
         next_emit = 0
@@ -195,7 +303,8 @@ class TaskRunner:
                         raise RuntimeError("task runner lost results")
                     break
                 now = time.monotonic()
-                self._launch_ready(tasks, pending, active, now)
+                self._launch_ready(tasks, pending, active, workers,
+                                   resolved, now)
                 wait = self._wait_budget(pending, active, now)
                 ready = multiprocessing.connection.wait(
                     list(active), timeout=wait) if active else []
@@ -203,38 +312,39 @@ class TaskRunner:
                     time.sleep(wait)
                 now = time.monotonic()
                 for conn in ready:
-                    self._finish(active.pop(conn), pending, resolved, now)
+                    self._finish(active.pop(conn), workers, pending,
+                                 resolved, now)
                 for conn, slot in list(active.items()):
                     if now >= slot.deadline:
-                        self._kill(slot)
                         del active[conn]
+                        workers.stop(conn, grace=0.0)
                         self._resolve_failure(
                             slot, TIMEOUT,
                             f"exceeded {self.timeout:.1f}s task timeout",
                             pending, resolved, now)
         finally:
-            for slot in active.values():
-                self._kill(slot)
+            workers.shutdown()
 
-    def _launch_ready(self, tasks, pending, active, now):
+    def _launch_ready(self, tasks, pending, active, workers, resolved, now):
         while pending and len(active) < self.processes \
                 and pending[0][0] <= now:
             _, index, attempt, started = heapq.heappop(pending)
             task = tasks[index]
-            parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-            proc = self.ctx.Process(
-                target=_child_entry,
-                args=(child_conn, self.fn, task.payload, attempt),
-                daemon=True, name=f"repro-task-{task.key}-a{attempt}")
-            proc.start()
-            child_conn.close()
             metrics().inc("runner.tasks.started")
             obs_event("task.started", level="debug",
                       key=task.key, attempt=attempt)
             deadline = now + self.timeout if self.timeout else float("inf")
-            active[parent_conn] = _Active(
-                task=task, index=index, attempt=attempt, proc=proc,
-                conn=parent_conn, started=started or now, deadline=deadline)
+            slot = _Active(task=task, index=index, attempt=attempt,
+                           conn=None, started=started or now,
+                           deadline=deadline)
+            try:
+                message = _attempt_message(task.payload, attempt)
+            except _Untransferable as exc:
+                self._resolve_failure(slot, CRASH, str(exc),
+                                      pending, resolved, now)
+                continue
+            slot.conn = workers.send(message)
+            active[slot.conn] = slot
 
     def _wait_budget(self, pending, active, now):
         """How long the scheduler may block before something needs it."""
@@ -247,21 +357,21 @@ class TaskRunner:
             return None
         return max(0.0, min(min(horizon) - now, 1.0))
 
-    def _finish(self, slot, pending, resolved, now):
-        """A worker's pipe became readable: collect and classify."""
+    def _finish(self, slot, workers, pending, resolved, now):
+        """A worker's pipe became readable: collect and classify.  Only
+        a worker whose value validated goes back to the idle pool."""
         try:
             message = slot.conn.recv()
         except (EOFError, OSError):
             message = None
-        slot.conn.close()
-        slot.proc.join(timeout=5.0)
         if message is None:             # died without reporting
-            code = slot.proc.exitcode
+            code = workers.stop(slot.conn)
             self._resolve_failure(
                 slot, CRASH, f"worker died without result (exit {code})",
                 pending, resolved, now)
             return
         if message[0] == "error":
+            workers.stop(slot.conn)
             self._resolve_failure(slot, CRASH, message[1],
                                   pending, resolved, now)
             return
@@ -273,10 +383,12 @@ class TaskRunner:
             # failure means the same thing — the result is DIVERGENT —
             # and is recorded with its type in the failure taxonomy
             except Exception as exc:  # repro-lint: disable=broad-except
+                workers.stop(slot.conn)
                 self._resolve_failure(
                     slot, DIVERGENT, f"{type(exc).__name__}: {exc}",
                     pending, resolved, now)
                 return
+        workers.idle.append(slot.conn)
         elapsed = now - slot.started
         reg = metrics()
         reg.inc("runner.tasks.finished")
@@ -312,17 +424,3 @@ class TaskRunner:
             key=slot.task.key, index=slot.index, kind=kind,
             message=message, attempts=slot.attempt,
             elapsed=elapsed)
-
-    @staticmethod
-    def _kill(slot):
-        proc = slot.proc
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():         # pragma: no cover
-                proc.kill()
-                proc.join(timeout=2.0)
-        try:
-            slot.conn.close()
-        except OSError:                 # pragma: no cover
-            pass

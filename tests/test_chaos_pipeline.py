@@ -6,6 +6,8 @@ exactly those 3 in the FailureReport, and a subsequent ``resume`` run
 must re-simulate only the quarantined sources.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.data import build_dataset
@@ -99,6 +101,21 @@ def test_min_coverage_gate_is_a_hard_failure():
     assert err.report is not None and len(err.report.failures) == 1
     # the partial corpus survives on the exception for inspection
     assert err.partial is not None and len(err.partial) > 0
+
+
+def test_a_consumer_that_stops_early_leaves_no_live_worker():
+    """The build consumes the runner under ``closing``: a progress
+    callback that raises stops every worker before the error escapes,
+    though the traceback still holds the build's frame."""
+    def abort(outcome):
+        raise RuntimeError("operator abort")
+
+    with pytest.raises(RuntimeError, match="operator abort") as excinfo:
+        build_dataset_resilient([], _sources()[:4], sample_period=250,
+                                processes=2, progress=abort)
+    assert excinfo.traceback
+    assert [p for p in multiprocessing.active_children()
+            if p.name == "repro-task-worker"] == []
 
 
 def test_failure_report_summary_reads_well():
