@@ -15,9 +15,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-180}"
 
 # static-analysis gate over the whole tree, one parse per file: the
-# per-file checks (determinism, atomic IO, catalog names, error
-# contracts, Markdown links) and the whole-program checks (fingerprint
-# drift, determinism taint, fail-secure exception flow) — see
+# per-file checks (determinism, atomic IO, one digest module, catalog
+# names, error contracts, Markdown links) and the whole-program checks
+# (determinism taint, fail-secure exception flow) — see
 # docs/static_analysis.md.  Any unsuppressed finding fails the run; the
 # JSON findings land next to the run for manifests/ops tooling.
 python -m repro.analysis --json-out .analysis-findings.json

@@ -12,9 +12,9 @@ from repro.analysis.checks import (  # noqa: F401  (registration)
     catalog,
     concurrency,
     determinism,
+    digest,
     docs,
     errors,
     failsecure,
-    fingerprint,
     taint,
 )

@@ -2,37 +2,23 @@
 
 The check *algorithms* are generic (they run on any
 :class:`~repro.analysis.index.ProjectIndex`); everything repo-specific —
-which dataclasses are fingerprinted by which function, what persists
-state, where the fail-secure boundary lies — is declared here in
-:data:`DEFAULT_CONFIG`.  Tests build small fixture trees and pass their
-own :class:`FlowConfig` to :func:`repro.analysis.engine.run`, so every
-check is exercised without touching the real tree.
+what persists state, where the fail-secure boundary lies — is declared
+here in :data:`DEFAULT_CONFIG`.  Tests build small fixture trees and
+pass their own :class:`FlowConfig` to :func:`repro.analysis.engine.run`,
+so every check is exercised without touching the real tree.
 
-Adding a fingerprinted surface, persistence sink, or fail-secure region
-is a one-line change here (see the add-a-check recipe in
-``docs/static_analysis.md``).
+Adding a persistence sink or fail-secure region is a one-line change
+here (see the add-a-check recipe in ``docs/static_analysis.md``).
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
 
-@dataclass(frozen=True)
-class FingerprintSurface:
-    """One (config dataclass, fingerprint function) contract pair."""
-
-    dataclass: str       # qname of the dataclass whose fields are hashed
-    fingerprint: str     # qname of the function/method that hashes them
-    note: str = ""       # why this surface matters (shown in reports)
-
-
 @dataclass
 class FlowConfig:
     """Everything the whole-program checks need to know about one
     project."""
-
-    # -- fingerprint-drift -------------------------------------------------
-    surfaces: Tuple[FingerprintSurface, ...] = ()
 
     # -- determinism-taint -------------------------------------------------
     #: call names (last dotted component) that always persist state
@@ -53,28 +39,12 @@ class FlowConfig:
 
 #: the real repository's contract surface
 DEFAULT_CONFIG = FlowConfig(
-    surfaces=(
-        FingerprintSurface(
-            "repro.campaign.spec.CampaignSpec",
-            "repro.campaign.spec.CampaignSpec.fingerprint",
-            note="campaign resume guard: a missing axis lets --resume "
-                 "replay a cache built from a different matrix"),
-        FingerprintSurface(
-            "repro.campaign.spec.CampaignCell",
-            "repro.campaign.spec.CampaignCell.fingerprint",
-            note="content-addresses CellCache entries: a missing field "
-                 "collides cells that should simulate separately"),
-        FingerprintSurface(
-            "repro.arena.loop.ArenaSpec",
-            "repro.arena.loop.ArenaSpec.fingerprint",
-            note="binds arena checkpoints to their spec: a missing knob "
-                 "lets --resume splice mismatched lineages"),
-    ),
     taint_sink_names=frozenset({
         "atomic_write_bytes",      # every durable artifact goes through it
+        "write_sealed",            # detectors, corpora, checkpoints, cells
+        "fingerprint",             # every content address and resume guard
         "write_manifest",          # run manifests
         "genome_key",              # content-addresses arena genomes
-        "canonical_json",          # genome checkpoint bytes
     }),
     taint_sink_methods=frozenset({
         "repro.runtime.checkpoint.CheckpointStore.put",

@@ -8,9 +8,6 @@ engine into a :class:`~repro.analysis.source.SourceFile`.  From those
 * a **module symbol table** — per-module import aliases (``np`` →
   ``numpy``, ``from x import y`` → ``x.y``) so dotted call names can be
   expanded to canonical form;
-* a **dataclass field registry** — every ``@dataclass`` body's declared
-  fields with their line numbers (the fingerprint-drift check compares
-  these against the fingerprint functions);
 * an **approximate call graph** — for every function/method, the set
   of project functions it may call.  Attribute calls are resolved via,
   in order: ``self.``/``cls.`` lookup (including one level of base
@@ -23,8 +20,8 @@ engine into a :class:`~repro.analysis.source.SourceFile`.  From those
 The graph is deliberately conservative-approximate: it may add edges
 that cannot execute (the fallback) and misses calls through dynamic
 dispatch tables, but it is deterministic, fast (one pass per file), and
-precise enough to carry function-level taint and field-consumption
-facts across module boundaries.
+precise enough to carry function-level taint and exception-flow facts
+across module boundaries.
 """
 
 import ast
@@ -36,16 +33,6 @@ from repro.analysis.source import dotted_name
 #: common names (``run``, ``get``) would otherwise wire the graph into
 #: a near-clique and drown the passes in false paths
 AMBIGUITY_CAP = 2
-
-
-class FieldInfo:
-    """One declared dataclass field."""
-
-    __slots__ = ("name", "lineno")
-
-    def __init__(self, name, lineno):
-        self.name = name
-        self.lineno = lineno
 
 
 class FunctionInfo:
@@ -74,10 +61,10 @@ class FunctionInfo:
 
 
 class ClassInfo:
-    """One class definition (with its dataclass field registry)."""
+    """One class definition."""
 
     __slots__ = ("qname", "name", "node", "module", "methods",
-                 "base_names", "is_dataclass", "fields", "attr_types")
+                 "base_names", "attr_types")
 
     def __init__(self, qname, name, node, module):
         self.qname = qname
@@ -86,8 +73,6 @@ class ClassInfo:
         self.module = module
         self.methods = {}        # method name -> FunctionInfo
         self.base_names = [dotted_name(b) for b in node.bases]
-        self.is_dataclass = False
-        self.fields = []         # [FieldInfo] (dataclasses only)
         self.attr_types = {}     # self.<attr> -> project class qname
 
     def __repr__(self):
@@ -137,22 +122,8 @@ def _module_name(relpath):
     return ".".join(parts)
 
 
-def _is_dataclass_decorator(node):
-    target = node.func if isinstance(node, ast.Call) else node
-    dotted = dotted_name(target)
-    return dotted is not None and dotted.split(".")[-1] == "dataclass"
-
-
-def _annotation_is_classvar(node):
-    for sub in ast.walk(node):
-        dotted = dotted_name(sub)
-        if dotted and dotted.split(".")[-1] == "ClassVar":
-            return True
-    return False
-
-
 class ProjectIndex:
-    """Symbol tables, dataclass registry and call graph for one tree."""
+    """Symbol tables and call graph for one tree."""
 
     def __init__(self):
         self.modules = {}            # modname -> ModuleInfo
@@ -226,15 +197,9 @@ class ProjectIndex:
         cls = ClassInfo(qname, node.name, node, mod)
         self.classes[qname] = cls
         mod.classes[node.name] = cls
-        cls.is_dataclass = any(_is_dataclass_decorator(d)
-                               for d in node.decorator_list)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(mod, stmt, cls)
-            elif cls.is_dataclass and isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and not _annotation_is_classvar(stmt.annotation):
-                cls.fields.append(FieldInfo(stmt.target.id, stmt.lineno))
 
     # -- resolution helpers ------------------------------------------------
 

@@ -14,9 +14,6 @@ from the ``numpy.random.Generator`` passed in — which the arena loop
 checkpoints, so a resumed run breeds the exact same offspring.
 """
 
-import hashlib
-import json
-
 from repro.attacks.base import default_secret_bits
 from repro.attacks.cache_attacks import FlushFlush, FlushReload, PrimeProbe
 from repro.attacks.evasion import EvasiveAttack
@@ -26,6 +23,7 @@ from repro.attacks.mds import (
 from repro.attacks.meltdown import Meltdown
 from repro.attacks.other import RDRNDCovert
 from repro.attacks.rowhammer import DRAMA, Rowhammer, TRRespass, _VICTIM_ROW
+from repro.runtime.digest import fingerprint
 
 #: the three mutation tools, mirroring ``attacks/fuzzing.py``
 TRANSYNTHER = "transynther"
@@ -54,13 +52,9 @@ def _round4(x):
     return float(round(float(x), 4))
 
 
-def canonical_json(genome):
-    return json.dumps(genome, sort_keys=True, separators=(",", ":"))
-
-
 def genome_key(genome):
     """Short content-addressed identifier (stable across runs)."""
-    return hashlib.sha256(canonical_json(genome).encode()).hexdigest()[:12]
+    return fingerprint(genome)[:12]
 
 
 def sample_genome(rng, tool=None):

@@ -38,7 +38,6 @@ completed with holes, 2 = fatal (raised as
 """
 
 import contextlib
-import hashlib
 import json
 import os
 import time
@@ -64,7 +63,8 @@ from repro.obs import metrics, obs_event
 from repro.obs.context import current_run_id, record_lineage
 from repro.runtime import (
     CHECKPOINT_CORRUPT, GATE_REGRESSION, TRAINING_DIVERGED, ArenaError,
-    CheckpointStore, Task, TaskRunner, atomic_write_bytes,
+    CheckpointStore, Task, TaskRunner, atomic_write_bytes, fingerprint,
+    hashed_fields,
 )
 from repro.workloads import WORKLOAD_BUILDERS, Workload
 
@@ -130,32 +130,11 @@ class ArenaSpec:
         return self
 
     def to_dict(self):
-        return {
-            "generations": self.generations,
-            "population": self.population,
-            "survivors": self.survivors,
-            "attacks": list(self.attacks),
-            "workloads": list(self.workloads),
-            "scale": self.scale,
-            "sample_period": self.sample_period,
-            "train_seeds": list(self.train_seeds),
-            "eval_seeds": list(self.eval_seeds),
-            "samples_per_class": self.samples_per_class,
-            "gan_iterations": self.gan_iterations,
-            "gan_hidden": list(self.gan_hidden),
-            "epochs": self.epochs,
-            "detector_hidden": list(self.detector_hidden),
-            "engineer_features": self.engineer_features,
-            "fp_budget": self.fp_budget,
-            "fn_budget": self.fn_budget,
-            "seed": self.seed,
-        }
+        return hashed_fields(self)
 
     @property
     def fingerprint(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return fingerprint(self)
 
 
 @dataclass
@@ -355,9 +334,7 @@ def _evasion(incumbent, evaluation):
 def _detector_fingerprint(detector):
     if detector is None:
         return ""
-    blob = json.dumps(detector_to_dict(detector), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return fingerprint(detector_to_dict(detector))
 
 
 # -- the arms race ------------------------------------------------------------
@@ -674,7 +651,4 @@ def _checkpoint(store, generation, population, incumbent, rng, trajectory,
         "run": current_run_id(),
     })
     if chaos is not None:
-        chaos.mangle_checkpoint(
-            generation,
-            os.path.join(store.directory,
-                         f"gen-{generation}.shard.json"))
+        chaos.mangle_checkpoint(generation, store.path(f"gen-{generation}"))

@@ -1,16 +1,14 @@
 """Content-addressed, SHA-256-verified cell cache.
 
-One JSON entry per completed matrix cell, named by the cell's config
-fingerprint — so the cache is *inherently* resumable and shareable:
-re-running any campaign whose spec covers a cached cell hits the same
-entry, regardless of which run produced it.  Entries are written
-atomically + durably (:mod:`repro.runtime.atomic`) and every read is
-verified end to end:
+One sealed entry per completed matrix cell (:mod:`repro.runtime.digest`),
+named by the cell's fingerprint — so the cache is *inherently* resumable
+and shareable: re-running any campaign whose spec covers a cached cell
+hits the same entry, regardless of which run produced it.  Entries are
+written atomically + durably and every read is verified end to end:
 
-* the file must parse and carry the expected schema;
+* the file must parse, carry the expected schema and match its digest;
 * the embedded config must re-hash to the entry's file name (a
-  renamed/misfiled entry cannot masquerade as another cell);
-* the result payload must match its embedded SHA-256 digest.
+  renamed/misfiled entry cannot masquerade as another cell).
 
 Any violation raises :class:`~repro.runtime.errors.CellCorruptError`
 and :meth:`CellCache.quarantine` moves the offender into a
@@ -18,121 +16,78 @@ and :meth:`CellCache.quarantine` moves the offender into a
 future lookups — so a flipped bit degrades one cell, never the run.
 """
 
-import json
 import os
 
-from repro.obs import config_fingerprint
-from repro.runtime.atomic import atomic_write_bytes, sha256_bytes
+from repro.runtime.digest import (
+    QUARANTINE_DIR, SealedFileError, fingerprint, quarantine, read_sealed,
+    write_sealed,
+)
 from repro.runtime.errors import CellCorruptError
 
 #: bumped when the entry layout changes incompatibly
-CELL_SCHEMA = "repro.campaign-cell/1"
-
-QUARANTINE_DIR = "quarantine"
-
-
-def _canonical(payload):
-    """Canonical JSON bytes: the digest base for result payloads."""
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode()
+CELL_SCHEMA = "repro.campaign-cell/2"
 
 
 class CellCache:
-    """A directory of fingerprint-named, checksummed cell entries."""
+    """A directory of fingerprint-named, sealed cell entries."""
 
     def __init__(self, directory):
         self.directory = directory
 
-    def entry_path(self, fingerprint):
-        return os.path.join(self.directory, f"{fingerprint}.cell.json")
+    def entry_path(self, fp):
+        return os.path.join(self.directory, f"{fp}.cell.json")
 
     # -- writes ---------------------------------------------------------------
 
     def put(self, cell, result):
         """Persist one completed cell atomically; returns the path."""
-        fingerprint = cell.fingerprint
-        entry = {
-            "schema": CELL_SCHEMA,
-            "fingerprint": fingerprint,
+        path = self.entry_path(cell.fingerprint)
+        write_sealed(path, CELL_SCHEMA, {
+            "fingerprint": cell.fingerprint,
             "key": cell.key,
             "config": cell.config(),
             "result": result,
-            "result_sha256": sha256_bytes(_canonical(result)),
-        }
-        path = self.entry_path(fingerprint)
-        atomic_write_bytes(path, _canonical(entry))
+        })
         return path
 
     # -- verified reads -------------------------------------------------------
 
-    def get(self, fingerprint):
-        """Load and verify one entry.
+    def get(self, fp):
+        """Load and verify the entry for fingerprint ``fp``.
 
         Returns the result payload, ``None`` when no entry exists, and
         raises :class:`CellCorruptError` when an entry exists but fails
         any verification step.
         """
-        path = self.entry_path(fingerprint)
+        path = self.entry_path(fp)
         try:
-            with open(path, "rb") as f:
-                raw = f.read()
+            entry = read_sealed(path, CELL_SCHEMA)
         except FileNotFoundError:
             return None
-        except OSError as exc:
-            raise CellCorruptError(
-                f"unreadable cache entry {path}: {exc}",
-                reason="unreadable") from exc
-        try:
-            entry = json.loads(raw.decode())
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise CellCorruptError(
-                f"unparseable cache entry {path}: {exc}",
-                reason="unparseable") from exc
-        if not isinstance(entry, dict) \
-                or entry.get("schema") != CELL_SCHEMA:
-            raise CellCorruptError(
-                f"cache entry {path} has unsupported schema "
-                f"{entry.get('schema') if isinstance(entry, dict) else None!r}",
-                reason="schema")
-        config = entry.get("config")
-        if entry.get("fingerprint") != fingerprint \
-                or config_fingerprint(config) != fingerprint:
+        except SealedFileError as exc:
+            raise CellCorruptError(f"cache entry {exc}",
+                                   reason=exc.reason) from exc
+        if not isinstance(entry, dict) or entry.get("fingerprint") != fp \
+                or fingerprint(entry.get("config")) != fp:
             raise CellCorruptError(
                 f"cache entry {path} fingerprint mismatch "
                 f"(misfiled or tampered config)", reason="fingerprint")
-        result = entry.get("result")
-        if sha256_bytes(_canonical(result)) != entry.get("result_sha256"):
-            raise CellCorruptError(
-                f"cache entry {path} failed its result checksum",
-                reason="checksum")
-        return result
+        return entry.get("result")
 
-    def has_valid(self, fingerprint):
+    def has_valid(self, fp):
         """Whether a verified entry exists (corrupt counts as absent)."""
         try:
-            return self.get(fingerprint) is not None
+            return self.get(fp) is not None
         except CellCorruptError:
             return False
 
     # -- quarantine -----------------------------------------------------------
 
-    def quarantine(self, fingerprint, reason="corrupt"):
+    def quarantine(self, fp, reason="corrupt"):
         """Move a bad entry out of the lookup namespace, preserving it
         under ``quarantine/`` for forensics.  Returns the new path, or
         ``None`` when the entry had already vanished."""
-        src = self.entry_path(fingerprint)
-        if not os.path.exists(src):
-            return None
-        qdir = os.path.join(self.directory, QUARANTINE_DIR)
-        os.makedirs(qdir, exist_ok=True)
-        dst = os.path.join(qdir, f"{fingerprint}.{reason}.cell.json")
-        n = 0
-        while os.path.exists(dst):
-            n += 1
-            dst = os.path.join(qdir,
-                               f"{fingerprint}.{reason}.{n}.cell.json")
-        os.replace(src, dst)
-        return dst
+        return quarantine(self.entry_path(fp), reason)
 
     def quarantined(self):
         """File names currently held in quarantine (sorted)."""

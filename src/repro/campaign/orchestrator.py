@@ -29,7 +29,6 @@ as :class:`~repro.runtime.errors.CampaignError` and mapped by the CLI).
 """
 
 import contextlib
-import hashlib
 import json
 import os
 import time
@@ -44,14 +43,17 @@ from repro.obs import metrics, obs_event
 from repro.obs.context import current_run_id, record_lineage
 from repro.runtime import (
     CACHE_CORRUPT, CampaignError, CellCorruptError, DivergentTraceError,
-    Task, TaskRunner, atomic_write_bytes, chaos_kill_self,
+    Task, TaskRunner, atomic_write_bytes, canonical, chaos_kill_self,
+    sha256_bytes,
 )
 from repro.sim import SimConfig
 from repro.sim.config import DefenseMode
 from repro.workloads import WORKLOAD_BUILDERS, Workload
 
-#: bumped when the campaign manifest layout changes incompatibly
-CAMPAIGN_SCHEMA = "repro.campaign/1"
+#: bumped when the campaign manifest layout changes incompatibly.  2:
+#: cells are fingerprinted by field and cached as sealed files, so a
+#: directory written in the /1 layout has no entry this build can read
+CAMPAIGN_SCHEMA = "repro.campaign/2"
 
 MANIFEST_NAME = "campaign.json"
 AGGREGATE_NAME = "aggregate.md"
@@ -91,16 +93,13 @@ def run_cell(payload, attempt=1):
         source, label=label, config=sim_config,
         sample_period=config["period"], max_cycles=config["max_cycles"],
         tenancy=config.get("tenancy", "single"))
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(json.dumps(record.deltas,
-                                 separators=(",", ":")).encode())
+    deltas = "".join(canonical(record.deltas) for record in records)
     return {
         "cycles": result.cycles,
         "committed": result.committed,
         "ipc": round(result.ipc, 4),
         "windows": len(records),
-        "counters_sha256": digest.hexdigest(),
+        "counters_sha256": sha256_bytes(deltas.encode()),
     }
 
 
@@ -303,7 +302,8 @@ def read_campaign_manifest(path):
     if manifest.get("schema") != CAMPAIGN_SCHEMA:
         raise CampaignError(
             f"unsupported campaign manifest schema "
-            f"{manifest.get('schema')!r} at {path}")
+            f"{manifest.get('schema')!r} at {path} (this build reads "
+            f"{CAMPAIGN_SCHEMA!r}); re-run without --resume to rebuild it")
     return manifest
 
 

@@ -5,9 +5,11 @@ A :class:`CampaignSpec` names the axes of an evaluation matrix —
 :meth:`~CampaignSpec.expand` turns it into the flat, deterministic list
 of :class:`CampaignCell` objects the orchestrator fans out.  Every cell
 carries a **content-addressed fingerprint**: the SHA-256 of its
-canonical configuration (via :func:`repro.obs.config_fingerprint`), so
-an identical cell always lands on the same cache entry regardless of
-which campaign, host, or day produced it.
+canonical configuration (:func:`repro.runtime.digest.fingerprint`, over
+every field but the declared opt-out ``index``), so an identical cell
+always lands on the same cache entry regardless of which campaign,
+host, or day produced it — and a field added later is hashed by
+construction.
 
 Specs validate eagerly — unknown workload/attack/defense names, bad
 periods, or an empty matrix raise :class:`CampaignSpecError` before any
@@ -16,10 +18,10 @@ worker is launched (the CLI maps this to exit 2, the fatal tier).
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
-from repro.obs import config_fingerprint
+from repro.runtime.digest import fingerprint, hashed_fields
 
 
 class CampaignSpecError(ValueError):
@@ -41,10 +43,10 @@ class CampaignCell:
     the :class:`~repro.campaign.cache.CellCache`.
     """
 
-    # two campaigns whose matrices order the same cell differently MUST
-    # share its cache entry, so `index` stays outside the content address
-    # flow: fingerprint-exempt(matrix position only, not simulated state)
-    index: int
+    index: int = field(metadata={
+        "fingerprint": False,
+        "why": "matrix position only: two campaigns that order the same "
+               "cell differently must share its cache entry"})
     kind: str                    # WORKLOAD | ATTACK
     name: str
     defense: str
@@ -66,16 +68,12 @@ class CampaignCell:
     def config(self):
         """The canonical configuration that determines this cell's
         result — exactly what the fingerprint hashes."""
-        return {"kind": self.kind, "name": self.name,
-                "defense": self.defense, "period": self.period,
-                "seed": self.seed, "scale": self.scale,
-                "max_cycles": self.max_cycles,
-                "tenancy": self.tenancy}
+        return hashed_fields(self)
 
     @functools.cached_property
     def fingerprint(self):
         """SHA-256 of :meth:`config`, hashed once per (frozen) cell."""
-        return config_fingerprint(self.config())
+        return fingerprint(self)
 
 
 def _known_names():
@@ -183,28 +181,19 @@ class CampaignSpec:
     # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self):
-        return {"workloads": list(self.workloads),
-                "attacks": list(self.attacks),
-                "defenses": list(self.defenses),
-                "periods": list(self.periods),
-                "seeds": list(self.seeds),
-                "tenancies": list(self.tenancies),
-                "scale": self.scale,
-                "max_cycles": self.max_cycles}
+        return hashed_fields(self)
 
     @property
     def fingerprint(self):
         """Content-addresses the whole matrix (resume guard)."""
-        return config_fingerprint(self.to_dict())
+        return fingerprint(self)
 
     @classmethod
     def from_dict(cls, mapping):
         if not isinstance(mapping, dict):
             raise CampaignSpecError(
                 f"spec must be a JSON object, got {type(mapping).__name__}")
-        unknown = set(mapping) - {"workloads", "attacks", "defenses",
-                                  "periods", "seeds", "tenancies", "scale",
-                                  "max_cycles"}
+        unknown = set(mapping) - {f.name for f in fields(cls)}
         if unknown:
             raise CampaignSpecError(
                 f"unknown spec fields: {sorted(unknown)}")

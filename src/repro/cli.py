@@ -46,8 +46,8 @@ def _load_corpus_or_die(path):
 def _load_detector_or_die(path):
     """Load a saved detector, or exit 2 with a one-line message.
 
-    ``load_detector`` verifies the artifact end to end (checksum,
-    schema fingerprint, dimensions, finiteness) and raises a typed
+    ``load_detector`` verifies the artifact end to end (format,
+    checksum, dimensions, finiteness) and raises a typed
     :class:`ModelError`; here every failure becomes one stderr line.
     """
     from repro.core.patching import ModelError, load_detector

@@ -34,7 +34,7 @@ from repro.core.interpret import (
 from repro.core.patching import (
     MODEL_FORMAT, DetectorPatch, ModelChecksumError, ModelCorruptError,
     ModelError, ModelMissingError, ModelSchemaError, detector_from_dict,
-    detector_to_dict, load_detector, save_detector, schema_fingerprint,
+    detector_to_dict, load_detector, save_detector,
 )
 from repro.core.classifier import (
     AttackClassifier, CATEGORY_FAMILIES, FAMILIES, FAMILY_RESPONSES,
@@ -54,7 +54,7 @@ __all__ = [
     "adversarial_augmentation", "dilute_toward_benign", "essential_columns",
     "attack_signature", "explain_window", "gram_heatmap", "weight_report",
     "DetectorPatch", "detector_to_dict", "detector_from_dict",
-    "save_detector", "load_detector", "schema_fingerprint",
+    "save_detector", "load_detector",
     "MODEL_FORMAT", "ModelError", "ModelMissingError", "ModelCorruptError",
     "ModelChecksumError", "ModelSchemaError",
     "AttackClassifier", "CATEGORY_FAMILIES", "FAMILIES", "FAMILY_RESPONSES",

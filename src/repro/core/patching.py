@@ -8,27 +8,30 @@ additions to the monitored feature set as new attacks emerge.
 * :func:`detector_to_dict` / :func:`detector_from_dict` — full round-trip
   serialization of a trained detector (schema, normalizer, weights);
 * :func:`save_detector` / :func:`load_detector` — the durable artifact:
-  written atomically (temp + ``os.replace``), SHA-256-checksummed and
-  schema-versioned, so a kill mid-write or a bit-rotted file can never
-  produce a loadable-but-wrong model — loading either verifies
-  everything (checksum, feature-schema fingerprint, layer dimensions,
-  weight finiteness) or raises a typed :class:`ModelError`;
+  a sealed file (:mod:`repro.runtime.digest`: atomic, SHA-256 over the
+  whole payload, schema-tagged), so a kill mid-write or a bit-rotted
+  file can never produce a loadable-but-wrong model — loading either
+  verifies everything (checksum, format, layer dimensions, weight
+  finiteness) or raises a typed :class:`ModelError`;
 * :class:`DetectorPatch` — the diff between a deployed detector and a
   retrained one: new engineered features, weight updates, a version tag —
   applied in place to a deployed detector.
 """
 
-import hashlib
 import json
 
 import numpy as np
 
 from repro.core.perceptron import HardwareDetector
 from repro.data.features import FeatureSchema, MaxNormalizer
+from repro.runtime.digest import (
+    CHECKSUM, SCHEMA, SealedFileError, read_sealed, write_sealed,
+)
 
-#: artifact format tag; bump on incompatible layout changes.  Version 1
-#: (the bare ``detector_to_dict`` payload with no envelope) still loads.
-MODEL_FORMAT = "repro.detector/2"
+#: sealed-file schema of a saved detector; bump on incompatible layout
+#: changes.  3: the sealed file, whose payload digest replaces /2's
+#: feature-schema fingerprint and feature count.
+MODEL_FORMAT = "repro.detector/3"
 
 
 class ModelError(ValueError):
@@ -51,7 +54,7 @@ class ModelChecksumError(ModelError):
 
 class ModelSchemaError(ModelError):
     """The artifact parses but is internally inconsistent (dimension
-    mismatch, non-finite weights, fingerprint drift, bad format tag)."""
+    mismatch, non-finite weights, another format)."""
 
 
 def detector_to_dict(detector):
@@ -111,22 +114,6 @@ def detector_from_dict(data):
     return detector
 
 
-def _canonical_json(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def schema_fingerprint(schema):
-    """Deterministic SHA-256 over a feature schema (base + engineered
-    names).  Stored in the artifact and in corpus-side tooling so a
-    detector/corpus feature-space mismatch is one string comparison."""
-    blob = _canonical_json({
-        "base": list(schema.base_features),
-        "engineered": [[name, list(counters)]
-                       for name, counters in schema.engineered],
-    })
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _validate_payload(payload, origin):
     """Structural validation of a ``detector_to_dict`` payload: layer
     dimensions must chain from the schema width down to one output, and
@@ -175,68 +162,31 @@ def _validate_payload(payload, origin):
 
 
 def save_detector(detector, path):
-    """Atomically write a detector's full deployable state.
-
-    The artifact is a versioned envelope around ``detector_to_dict``:
-    the payload's canonical-JSON SHA-256 plus the feature-schema
-    fingerprint, written via temp-file + ``os.replace`` — a kill at any
-    instant leaves the previous artifact or none, never a torn one.
-    """
-    from repro.runtime.atomic import atomic_write_bytes
-    payload = detector_to_dict(detector)
-    envelope = {
-        "format": MODEL_FORMAT,
-        "sha256": hashlib.sha256(
-            _canonical_json(payload).encode()).hexdigest(),
-        "schema_fingerprint": schema_fingerprint(detector.schema),
-        "feature_count": detector.schema.dim,
-        "detector": payload,
-    }
-    atomic_write_bytes(path, json.dumps(envelope, indent=1).encode())
+    """Atomically write a detector's full deployable state: a sealed
+    ``detector_to_dict`` payload — a kill at any instant leaves the
+    previous artifact or none, never a torn one."""
+    write_sealed(path, MODEL_FORMAT, detector_to_dict(detector))
 
 
 def load_detector(path):
     """Load and fully verify a detector written by :func:`save_detector`.
 
     Raises a typed :class:`ModelError` subclass on a missing file,
-    unparseable JSON, checksum mismatch, fingerprint drift or structural
-    inconsistency.  Legacy (version-1, envelope-less) artifacts still
-    load, with structural validation only.
+    unparseable JSON, another format, checksum mismatch or structural
+    inconsistency.
     """
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
+        payload = read_sealed(path, MODEL_FORMAT)
     except FileNotFoundError:
         raise ModelMissingError(f"model file not found: {path}") from None
-    try:
-        data = json.loads(raw.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ModelCorruptError(
-            f"unparseable model file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ModelCorruptError(f"model file {path} is not a JSON object")
-    if "format" not in data:
-        # legacy pre-envelope artifact: the bare payload
-        _validate_payload(data, path)
-        return detector_from_dict(data)
-    if data["format"] != MODEL_FORMAT:
-        raise ModelSchemaError(
-            f"unsupported model format {data['format']!r} in {path}")
-    payload = data.get("detector")
+    except SealedFileError as exc:
+        error = {CHECKSUM: ModelChecksumError,
+                 SCHEMA: ModelSchemaError}.get(exc.reason, ModelCorruptError)
+        raise error(str(exc)) from exc
     if not isinstance(payload, dict):
         raise ModelSchemaError(f"model file {path} has no detector payload")
-    digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-    if digest != data.get("sha256"):
-        raise ModelChecksumError(
-            f"checksum mismatch for {path}: payload does not match its "
-            f"embedded digest (torn write, bit rot or tampering)")
     _validate_payload(payload, path)
-    detector = detector_from_dict(payload)
-    if schema_fingerprint(detector.schema) != data.get("schema_fingerprint"):
-        raise ModelSchemaError(
-            f"feature-schema fingerprint mismatch in {path}: the stored "
-            f"schema does not match the one the artifact declares")
-    return detector
+    return detector_from_dict(payload)
 
 
 def verify_corpus_compatible(detector, dataset, detector_origin="detector",

@@ -2,11 +2,14 @@
 full simulations), so they can be saved and reloaded as ``.npz`` bundles
 with a JSON sidecar of labels and metadata.
 
-Writes are atomic and checksummed: both files land via temp-file +
-``os.replace`` and the sidecar embeds the SHA-256 of the ``.npz``
-payload, so an interrupted ``save_dataset`` can never leave a corpus
-that loads but is silently wrong — :func:`load_dataset` either verifies
-the pair or raises a typed :class:`DatasetError`.
+Writes are atomic and verified end to end: both files land via
+temp-file + ``os.replace``, the sidecar is a sealed file
+(:mod:`repro.runtime.digest`) whose digest covers every label,
+category, phase and source, and it embeds the SHA-256 of the raw
+``.npz`` payload — so an interrupted or tampered ``save_dataset`` can
+never leave a corpus that loads but is silently wrong:
+:func:`load_dataset` either verifies the pair or raises a typed
+:class:`DatasetError`.
 
 The sidecar is written *first*: a kill between the two replaces leaves
 new metadata pointing at the old matrix, which the checksum rejects
@@ -15,16 +18,19 @@ matrix.
 """
 
 import io
-import json
 import zipfile
 
 import numpy as np
 
 from repro.data.dataset import Dataset, SampleRecord
-from repro.runtime.atomic import atomic_write_bytes, sha256_bytes
+from repro.runtime.atomic import atomic_write_bytes
+from repro.runtime.digest import (
+    CHECKSUM, SCHEMA, SealedFileError, read_sealed, sha256_bytes,
+    write_sealed,
+)
 
-#: sidecar format version (1 = legacy, no checksums)
-FORMAT_VERSION = 2
+#: sealed-sidecar schema; bumped on incompatible layout changes
+META_SCHEMA = "repro.corpus/3"
 
 
 def counter_layout_sha256():
@@ -32,10 +38,8 @@ def counter_layout_sha256():
     order).  Stored in every corpus sidecar so a corpus collected under
     a different layout is detectable by one string comparison instead
     of silently mis-gathering columns."""
-    import hashlib
-
     from repro.sim.hpc import COUNTER_NAMES
-    return hashlib.sha256("\n".join(COUNTER_NAMES).encode()).hexdigest()
+    return sha256_bytes("\n".join(COUNTER_NAMES).encode())
 
 
 class DatasetError(ValueError):
@@ -53,13 +57,13 @@ class DatasetCorruptError(DatasetError):
 
 
 class DatasetChecksumError(DatasetError):
-    """The ``.npz`` payload does not match the digest recorded in its
-    sidecar (torn write, stale pair, tampering)."""
+    """The sidecar or the ``.npz`` payload does not match its digest
+    (torn write, stale pair, tampering)."""
 
 
 class DatasetSchemaError(DatasetError):
     """The pair parses but is internally inconsistent (row-count
-    mismatch, missing fields)."""
+    mismatch, missing fields) or the sidecar is in another format."""
 
 
 def record_to_dict(record, with_deltas=True):
@@ -98,16 +102,13 @@ def save_dataset(dataset, path):
     buffer = io.BytesIO()
     np.savez_compressed(buffer, deltas=deltas)
     npz_bytes = buffer.getvalue()
-    meta = {
-        "format_version": FORMAT_VERSION,
+    write_sealed(_meta_path(path), META_SCHEMA, {
         "sample_period": dataset.sample_period,
-        "n_records": len(dataset.records),
         "npz_sha256": sha256_bytes(npz_bytes),
         "counters_sha256": counter_layout_sha256(),
         "records": [record_to_dict(r, with_deltas=False)
                     for r in dataset.records],
-    }
-    atomic_write_bytes(_meta_path(path), json.dumps(meta).encode())
+    })
     atomic_write_bytes(_npz_path(path), npz_bytes)
 
 
@@ -126,17 +127,11 @@ def load_dataset(path):
     except (KeyError, TypeError) as exc:
         raise DatasetSchemaError(
             f"metadata sidecar {meta_path} missing field: {exc}") from exc
-    if "n_records" in meta and meta["n_records"] != len(records):
-        raise DatasetSchemaError(
-            f"metadata sidecar {meta_path} declares {meta['n_records']} "
-            f"records but lists {len(records)}")
     if len(records) != len(deltas):
         raise DatasetSchemaError(
             f"metadata and matrix row counts differ in {npz_path} "
             f"({len(records)} vs {len(deltas)})")
     dataset = Dataset(sample_period=sample_period)
-    # legacy sidecars (pre-arena) carry no layout fingerprint -> None;
-    # verify_corpus_compatible then falls back to width checks only
     dataset.counters_sha256 = meta.get("counters_sha256")
     try:
         for row, rec in zip(deltas, records):
@@ -149,18 +144,17 @@ def load_dataset(path):
 
 def _read_meta(meta_path):
     try:
-        with open(meta_path, "rb") as f:
-            raw = f.read()
+        meta = read_sealed(meta_path, META_SCHEMA)
     except FileNotFoundError:
         raise DatasetMissingError(
             f"metadata sidecar not found: {meta_path}") from None
-    try:
-        meta = json.loads(raw.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise DatasetCorruptError(
-            f"unparseable metadata sidecar {meta_path}: {exc}") from exc
+    except SealedFileError as exc:
+        error = {CHECKSUM: DatasetChecksumError,
+                 SCHEMA: DatasetSchemaError}.get(exc.reason,
+                                                 DatasetCorruptError)
+        raise error(f"metadata sidecar {exc}") from exc
     if not isinstance(meta, dict):
-        raise DatasetCorruptError(
+        raise DatasetSchemaError(
             f"metadata sidecar {meta_path} is not a JSON object")
     return meta
 
@@ -172,8 +166,7 @@ def _read_matrix(npz_path, meta):
     except FileNotFoundError:
         raise DatasetMissingError(
             f"corpus matrix not found: {npz_path}") from None
-    expected = meta.get("npz_sha256")
-    if expected is not None and sha256_bytes(npz_bytes) != expected:
+    if sha256_bytes(npz_bytes) != meta.get("npz_sha256"):
         raise DatasetChecksumError(
             f"checksum mismatch for {npz_path}: the matrix does not "
             f"match its metadata sidecar (torn write or stale pair)")

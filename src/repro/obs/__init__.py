@@ -17,8 +17,8 @@ Three pillars, documented in ``docs/observability.md``:
 
 from repro.obs.log import EventLog, get_log, obs_event, read_events
 from repro.obs.manifest import (
-    MANIFEST_SCHEMA, build_manifest, config_fingerprint,
-    default_manifest_path, read_manifest, write_manifest,
+    MANIFEST_SCHEMA, build_manifest, default_manifest_path, read_manifest,
+    write_manifest,
 )
 from repro.obs.metrics import (
     Counter, Gauge, MetricsRegistry, Timer, metrics, time_block,
@@ -27,8 +27,8 @@ from repro.obs.names import ALL_METRICS, CATALOG, EVENTS, is_known_metric
 
 __all__ = [
     "EventLog", "get_log", "obs_event", "read_events",
-    "MANIFEST_SCHEMA", "build_manifest", "config_fingerprint",
-    "default_manifest_path", "read_manifest", "write_manifest",
+    "MANIFEST_SCHEMA", "build_manifest", "default_manifest_path",
+    "read_manifest", "write_manifest",
     "Counter", "Gauge", "MetricsRegistry", "Timer", "metrics",
     "time_block",
     "ALL_METRICS", "CATALOG", "EVENTS", "is_known_metric",

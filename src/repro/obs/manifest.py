@@ -13,7 +13,6 @@ written on *failure paths too* — a run that died still leaves a manifest
 saying how far it got and why it stopped.
 """
 
-import hashlib
 import json
 import platform
 import sys
@@ -33,17 +32,6 @@ _MANIFEST_ANCHORS = {
     "campaign": ("dir",),
     "serve": ("out",),
 }
-
-
-def config_fingerprint(options):
-    """Deterministic SHA-256 over a run's effective configuration.
-
-    ``options`` is any JSON-able mapping (typically the parsed CLI
-    options); keys are sorted so equal configurations always fingerprint
-    identically across runs and machines.
-    """
-    blob = json.dumps(options, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def default_manifest_path(command, args):
@@ -113,6 +101,9 @@ def build_manifest(*, command, argv, run_id, started, finished, exit_code,
     "resumed_from_iteration": ...}`` when training resumed from a
     checkpoint written by an earlier run.
     """
+    # imported lazily: repro.runtime instruments itself through repro.obs,
+    # so obs must not need runtime at import time
+    from repro.runtime.digest import fingerprint
     snapshot = snapshot if snapshot is not None else {}
     options = dict(options or {})
     return {
@@ -129,7 +120,7 @@ def build_manifest(*, command, argv, run_id, started, finished, exit_code,
         },
         "config": {
             "options": options,
-            "fingerprint": config_fingerprint(options),
+            "fingerprint": fingerprint(options),
         },
         "status": {
             "ok": exit_code == 0 and error is None,

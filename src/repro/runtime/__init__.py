@@ -3,16 +3,16 @@
 ``repro.runtime`` is the fault-tolerance substrate under the data
 pipeline: forked worker processes with failures isolated per attempt,
 timeouts and deterministic-backoff retries (:mod:`~repro.runtime.runner`),
-atomic checkpoint shards with a manifest for resumable builds
+the one digest primitive and sealed-file format every persisted
+artifact verifies through (:mod:`~repro.runtime.digest`), atomic
+checkpoint shards with a manifest for resumable builds
 (:mod:`~repro.runtime.checkpoint`), explicit failure accounting and
 coverage gating (:mod:`~repro.runtime.report`), and a seeded
 fault-injection harness (:mod:`~repro.runtime.chaos`) that makes all of
 the above testable in CI.
 """
 
-from repro.runtime.atomic import (
-    atomic_write_bytes, fsync_directory, sha256_bytes, sha256_file,
-)
+from repro.runtime.atomic import atomic_write_bytes, fsync_directory
 from repro.runtime.chaos import (
     ARENA_CHECKPOINT_CORRUPT_FAULT, ARENA_FAULT_KINDS, BURST_ARRIVAL_FAULT,
     CACHE_CORRUPT_FAULT, CACHE_TRUNCATE_FAULT, CAMPAIGN_FAULT_KINDS,
@@ -23,9 +23,14 @@ from repro.runtime.chaos import (
     SLOW_TENANT_FAULT, TRAINING_FAULT_KINDS, WORKER_KILL_FAULT,
     ArenaChaos, ArenaFault, CampaignChaos, CampaignFault, ChaosCrash,
     ChaosKill, ChaosSource, FaultSpec, ServeChaos, ServeFault,
-    TrainingChaos, TrainingFault, chaos_kill_self, inject_faults,
+    TrainingChaos, TrainingFault, chaos_kill_self, corrupt_in_place,
+    inject_faults,
 )
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.digest import (
+    SealedFileError, canonical, fingerprint, hashed_fields, quarantine,
+    read_sealed, sha256_bytes, write_sealed,
+)
 from repro.runtime.errors import (
     ARENA_FAILURE_KINDS, CACHE_CORRUPT, CAMPAIGN_FAILURE_KINDS,
     CHECKPOINT_CORRUPT, CRASH, DIVERGENT, FAILURE_KINDS, GATE_REGRESSION,
@@ -39,7 +44,7 @@ from repro.runtime.runner import (
 )
 
 __all__ = [
-    "atomic_write_bytes", "fsync_directory", "sha256_bytes", "sha256_file",
+    "atomic_write_bytes", "fsync_directory",
     "ARENA_CHECKPOINT_CORRUPT_FAULT", "ARENA_FAULT_KINDS",
     "BURST_ARRIVAL_FAULT", "CACHE_CORRUPT_FAULT", "CACHE_TRUNCATE_FAULT",
     "CAMPAIGN_FAULT_KINDS", "CRASH_FAULT", "DETECTOR_EXCEPTION_FAULT",
@@ -51,8 +56,10 @@ __all__ = [
     "ArenaChaos", "ArenaFault", "CampaignChaos", "CampaignFault",
     "ChaosCrash", "ChaosKill", "ChaosSource", "FaultSpec",
     "ServeChaos", "ServeFault", "TrainingChaos", "TrainingFault",
-    "chaos_kill_self", "inject_faults",
+    "chaos_kill_self", "corrupt_in_place", "inject_faults",
     "CheckpointStore",
+    "SealedFileError", "canonical", "fingerprint", "hashed_fields",
+    "quarantine", "read_sealed", "sha256_bytes", "write_sealed",
     "ARENA_FAILURE_KINDS", "CACHE_CORRUPT", "CAMPAIGN_FAILURE_KINDS",
     "CHECKPOINT_CORRUPT", "CRASH", "DIVERGENT", "FAILURE_KINDS",
     "GATE_REGRESSION", "TIMEOUT", "TRAINING_DIVERGED", "ArenaError",

@@ -1,11 +1,11 @@
-"""Atomic, checksummed file IO primitives.
+"""Atomic file IO primitives.
 
 All durable artifacts of the corpus pipeline (dataset ``.npz`` bundles,
 metadata sidecars, checkpoint shards, manifests, campaign cache cells)
 are written with write-to-temp + ``os.replace`` so a crash or kill
-mid-write can never leave a half-written file under the final name,
-plus SHA-256 digests so a stale or tampered file is detected at load
-time.
+mid-write can never leave a half-written file under the final name.
+Detecting a stale or tampered file at load time is the sealed file's
+job (:mod:`repro.runtime.digest`), which writes through here.
 
 Renames alone only order *metadata* within the page cache: after a
 power-loss-style kill the directory entry may point at the new file
@@ -16,26 +16,8 @@ names it — which is the full crash-consistency recipe checkpoints and
 campaign caches rely on (exercised by ``tests/test_crash_consistency``).
 """
 
-import hashlib
 import os
 import tempfile
-
-
-def sha256_bytes(data):
-    """Hex SHA-256 digest of a bytes payload."""
-    return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path, chunk=1 << 20):
-    """Hex SHA-256 digest of a file's contents (streamed)."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while True:
-            block = f.read(chunk)
-            if not block:
-                break
-            h.update(block)
-    return h.hexdigest()
 
 
 def fsync_directory(directory):
@@ -64,8 +46,7 @@ def atomic_write_bytes(path, data, fsync=True):
     replace is a same-filesystem rename.  With ``fsync`` (the default)
     the temp file's data and the parent directory are flushed before
     *and* after the rename, so the artifact survives power-loss-style
-    kills, not just process death.  Returns the SHA-256 digest of the
-    written payload.
+    kills, not just process death.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
@@ -88,4 +69,3 @@ def atomic_write_bytes(path, data, fsync=True):
         except OSError:
             pass
         raise
-    return sha256_bytes(data)

@@ -286,19 +286,8 @@ class CampaignChaos:
                                           CACHE_TRUNCATE_FAULT):
                 continue
             self.fired.add(i)
-            with open(path, "rb") as f:
-                data = f.read()
-            if fault.kind == CACHE_TRUNCATE_FAULT:
-                data = data[: len(data) // 3]
-            else:
-                pos = len(data) // 2
-                data = data[:pos] + bytes([(data[pos] + 1) % 256]) \
-                    + data[pos + 1:]
-            # deliberately torn in place: this *is* the disk corruption
-            # the verified cache must catch, so it must not go through
-            # the atomic writer it is attacking
-            with open(path, "wb") as f:  # repro-lint: disable=atomic-io
-                f.write(data)
+            corrupt_in_place(path,
+                             truncate=fault.kind == CACHE_TRUNCATE_FAULT)
             return fault
         return None
 
@@ -405,16 +394,7 @@ class ArenaChaos:
                     or fault.generation != generation:
                 continue
             self.fired.add(i)
-            with open(path, "rb") as f:
-                data = f.read()
-            pos = len(data) // 2
-            data = data[:pos] + bytes([(data[pos] + 1) % 256]) \
-                + data[pos + 1:]
-            # deliberately torn in place: this *is* the disk corruption
-            # the checksummed checkpoint store must catch on resume, so
-            # it must not go through the atomic writer it is attacking
-            with open(path, "wb") as f:  # repro-lint: disable=atomic-io
-                f.write(data)
+            corrupt_in_place(path)
             return fault
         return None
 
@@ -516,6 +496,23 @@ class ServeChaos:
                 window[0] = DETECTOR_POISON_SENTINEL
                 return window
         return window
+
+
+def corrupt_in_place(path, truncate=False):
+    """Flip the middle byte of the file at ``path`` (or, with
+    ``truncate``, cut it to its first third) in place: the disk
+    corruption a sealed file must refuse to open."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if truncate:
+        data = data[: len(data) // 3]
+    else:
+        pos = len(data) // 2
+        data = data[:pos] + bytes([(data[pos] + 1) % 256]) + data[pos + 1:]
+    # deliberately torn in place: this *is* the corruption the verified
+    # reader must catch, so it must not go through the atomic writer
+    with open(path, "wb") as f:  # repro-lint: disable=atomic-io
+        f.write(data)
 
 
 def chaos_kill_self():

@@ -1,27 +1,28 @@
 """Checkpoint/resume for long corpus builds.
 
-Completed sources are flushed to one JSON shard per source plus a
-``manifest.json`` that records, per shard, the file name, SHA-256
-digest and record count, alongside a *context* fingerprint of the build
-(sample period, task keys...).  Everything is written atomically
-(temp + ``os.replace``), so a kill at any instant leaves either the old
-or the new state — never a torn one — and a resumed run can trust the
+Completed sources are flushed to one sealed shard per source
+(:mod:`repro.runtime.digest`: each shard carries its own digest and its
+key, so it verifies itself) plus a sealed ``manifest.json`` holding the
+build's *context* (sample period, task keys...) and the key ->
+shard-file map.  Everything is written atomically (temp +
+``os.replace``), so a kill at any instant leaves either the old or the
+new state — never a torn one — and a resumed run can trust the
 manifest: it re-simulates only sources whose shard is missing or fails
-its checksum.
+to verify.
 
 The store is payload-agnostic (it persists JSON documents keyed by task
 key); the data layer owns the record <-> JSON mapping.
 """
 
-import json
 import os
 import re
 
-from repro.runtime.atomic import atomic_write_bytes, sha256_file
+from repro.runtime.digest import SealedFileError, read_sealed, write_sealed
 from repro.runtime.errors import CheckpointError
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_SCHEMA = "repro.checkpoint-manifest/2"
+SHARD_SCHEMA = "repro.checkpoint-shard/2"
 
 
 def _slug(key):
@@ -33,8 +34,7 @@ class CheckpointStore:
 
     def __init__(self, directory):
         self.directory = directory
-        self._manifest = {"version": MANIFEST_VERSION,
-                          "context": {}, "shards": {}}
+        self._context, self._shards = {}, {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -48,15 +48,15 @@ class CheckpointStore:
         """
         os.makedirs(self.directory, exist_ok=True)
         if resume and os.path.exists(self._manifest_path()):
-            self._manifest = self._read_manifest()
-            if self._manifest.get("context") != context:
+            self._read_manifest()
+            if self._context != context:
                 raise CheckpointError(
                     f"checkpoint at {self.directory} was built with "
                     f"different settings; re-run without --resume to "
                     f"rebuild it")
         else:
             self.reset()
-            self._manifest["context"] = dict(context)
+            self._context = dict(context)
             self._write_manifest()
         return self
 
@@ -69,57 +69,59 @@ class CheckpointStore:
                         os.unlink(os.path.join(self.directory, name))
                     except OSError:
                         pass
-        self._manifest = {"version": MANIFEST_VERSION,
-                          "context": {}, "shards": {}}
+        self._context, self._shards = {}, {}
 
     # -- shard access ---------------------------------------------------------
 
+    def path(self, key):
+        """Where the shard for ``key`` lives."""
+        return os.path.join(self.directory, _slug(key) + ".shard.json")
+
     def put(self, key, payload):
         """Persist one completed source atomically and register it."""
-        name = _slug(key) + ".shard.json"
-        path = os.path.join(self.directory, name)
-        data = json.dumps(payload, separators=(",", ":")).encode()
-        digest = atomic_write_bytes(path, data)
-        self._manifest["shards"][key] = {
-            "file": name,
-            "sha256": digest,
-            "bytes": len(data),
-        }
+        path = self.path(key)
+        write_sealed(path, SHARD_SCHEMA, {"key": key, "data": payload})
+        self._shards[key] = os.path.basename(path)
         self._write_manifest()
 
     def get(self, key):
         """Load and verify one shard; raises :class:`CheckpointError`
-        when the shard is missing or its checksum does not match."""
-        entry = self._manifest["shards"].get(key)
-        if entry is None:
+        when the shard is unknown, missing or fails to verify."""
+        name = self._shards.get(key)
+        if name is None:
             raise CheckpointError(f"no checkpoint shard for {key!r}")
-        path = os.path.join(self.directory, entry["file"])
-        if not os.path.exists(path):
-            raise CheckpointError(f"checkpoint shard missing: {path}")
-        if sha256_file(path) != entry["sha256"]:
-            raise CheckpointError(f"checkpoint shard corrupt "
-                                  f"(checksum mismatch): {path}")
-        with open(path, "rb") as f:
-            return json.loads(f.read().decode())
+        path = os.path.join(self.directory, name)
+        try:
+            shard = read_sealed(path, SHARD_SCHEMA)
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"checkpoint shard missing: {path}") from None
+        except SealedFileError as exc:
+            raise CheckpointError(
+                f"checkpoint shard corrupt: {exc}") from exc
+        if not isinstance(shard, dict) or shard.get("key") != key:
+            raise CheckpointError(
+                f"checkpoint shard {path} holds another key's data")
+        return shard["data"]
 
     def valid_keys(self):
-        """Keys whose shard exists on disk and passes its checksum.
+        """Keys whose shard exists on disk and verifies.
 
         Invalid entries are dropped from the in-memory manifest so the
         build re-simulates them (graceful self-healing on resume).
         """
         good = []
-        for key in list(self._manifest["shards"]):
-            entry = self._manifest["shards"][key]
-            path = os.path.join(self.directory, entry["file"])
-            if os.path.exists(path) and sha256_file(path) == entry["sha256"]:
-                good.append(key)
+        for key in list(self._shards):
+            try:
+                self.get(key)
+            except CheckpointError:
+                del self._shards[key]
             else:
-                del self._manifest["shards"][key]
+                good.append(key)
         return good
 
     def has(self, key):
-        return key in self._manifest["shards"]
+        return key in self._shards
 
     # -- manifest -------------------------------------------------------------
 
@@ -127,21 +129,19 @@ class CheckpointStore:
         return os.path.join(self.directory, MANIFEST_NAME)
 
     def _read_manifest(self):
+        path = self._manifest_path()
         try:
-            with open(self._manifest_path(), "rb") as f:
-                manifest = json.loads(f.read().decode())
-        except (OSError, ValueError) as exc:
+            manifest = read_sealed(path, MANIFEST_SCHEMA)
+            self._context = manifest["context"]
+            self._shards = dict(manifest["shards"])
+        except (OSError, SealedFileError) as exc:
             raise CheckpointError(
-                f"unreadable checkpoint manifest at "
-                f"{self._manifest_path()}: {exc}") from exc
-        if manifest.get("version") != MANIFEST_VERSION:
+                f"unusable checkpoint manifest: {exc}; re-run without "
+                f"--resume to rebuild it") from exc
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
-                f"unsupported checkpoint manifest version "
-                f"{manifest.get('version')!r}")
-        manifest.setdefault("shards", {})
-        manifest.setdefault("context", {})
-        return manifest
+                f"malformed checkpoint manifest {path}: {exc}") from exc
 
     def _write_manifest(self):
-        data = json.dumps(self._manifest, indent=1).encode()
-        atomic_write_bytes(self._manifest_path(), data)
+        write_sealed(self._manifest_path(), MANIFEST_SCHEMA,
+                     {"context": self._context, "shards": self._shards})

@@ -33,7 +33,6 @@ returns or is closed, so a consumer that may stop early wraps it in
 :func:`contextlib.closing`.
 """
 
-import hashlib
 import heapq
 import multiprocessing
 import multiprocessing.connection
@@ -44,6 +43,7 @@ import traceback
 from dataclasses import dataclass
 
 from repro.obs import metrics, obs_event
+from repro.runtime.digest import sha256_bytes
 from repro.runtime.errors import CRASH, DIVERGENT, TIMEOUT
 
 
@@ -94,8 +94,8 @@ def backoff_delay(key, attempt, base=0.05, maximum=2.0):
     if base <= 0:
         return 0.0
     raw = min(maximum, base * (2.0 ** (attempt - 1)))
-    digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-    jitter = 1.0 + int.from_bytes(digest[:4], "big") / 0xFFFFFFFF
+    digest = sha256_bytes(f"{key}:{attempt}".encode())
+    jitter = 1.0 + int(digest[:8], 16) / 0xFFFFFFFF
     return min(maximum, raw * jitter)
 
 

@@ -17,8 +17,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.cli import main as analysis_main
-from repro.analysis.config import DEFAULT_CONFIG, FingerprintSurface, \
-    FlowConfig
+from repro.analysis.config import FlowConfig
 from repro.analysis.engine import run
 
 REPO = Path(__file__).resolve().parents[2]
@@ -42,7 +41,7 @@ def analysis_cli(*args, cwd):
 # the mutation fixture
 
 MUTATIONS = {
-    # the ten per-file checks, one seeded violation each (two for docs)
+    # the per-file checks, one seeded violation each (two for docs)
     "src/repro/sim/clock.py": """\
         import time
 
@@ -100,19 +99,16 @@ MUTATIONS = {
         See [the missing page](missing.md).
         See [a missing section](#no-such-section).
     """,
-    # fingerprint-drift: `scale` is never hashed, and a second surface
-    # names a class that does not exist
+    # digest-module: a hand-written fingerprint that hashes some fields
+    # with its own canonical form
     "src/repro/campaign/spec.py": """\
-        from dataclasses import dataclass
+        import hashlib
+        import json
 
 
-        @dataclass
-        class Spec:
-            seeds: int
-            scale: int
-
-            def fingerprint(self):
-                return str(self.seeds)
+        def fingerprint(spec):
+            blob = json.dumps({"seeds": spec.seeds})
+            return hashlib.sha256(blob.encode()).hexdigest()
     """,
     # determinism-taint: a wall-clock read two calls from the sink
     "src/repro/campaign/ledger.py": """\
@@ -147,12 +143,6 @@ MUTATIONS = {
 }
 
 MUTATION_CONFIG = FlowConfig(
-    surfaces=(
-        FingerprintSurface("repro.campaign.spec.Spec",
-                           "repro.campaign.spec.Spec.fingerprint"),
-        FingerprintSurface("repro.campaign.spec.Renamed",
-                           "repro.campaign.spec.Spec.fingerprint"),
-    ),
     taint_sink_names=frozenset({"atomic_write_bytes"}),
     taint_barriers=("src/repro/obs/",),
     failsecure_boundaries=("src/repro/defenses/",),
@@ -167,11 +157,10 @@ MUTATION_FINDINGS = {
     ("catalog-metrics", "src/repro/serve/metrics.py", 2),
     ("catalog-metrics", "src/repro/serve/metrics.py", 3),     # f-string
     ("determinism-taint", "src/repro/campaign/ledger.py", 7),
+    ("digest-module", "src/repro/campaign/spec.py", 1),
     ("docs-links", "docs/guide.md", 3),
     ("docs-links", "docs/guide.md", 4),
     ("fail-secure-flow", "src/repro/defenses/fallback.py", 4),
-    ("fingerprint-drift", "src/repro/campaign/spec.py", 7),
-    ("fingerprint-drift", "src/repro/campaign/spec.py", 9),
     ("forbidden-clock", "src/repro/sim/clock.py", 3),
     ("parse-error", "src/repro/sim/broken.py", 1),
     ("runner-fanout", "src/repro/campaign/fanout.py", 5),
@@ -261,8 +250,8 @@ def test_list_names_every_check(capsys):
              if not line.startswith(" ")]
     assert names == [
         "atomic-io", "broad-except", "catalog-counters", "catalog-events",
-        "catalog-metrics", "determinism-taint", "docs-links",
-        "fail-secure-flow", "fingerprint-drift", "forbidden-clock",
+        "catalog-metrics", "determinism-taint", "digest-module",
+        "docs-links", "fail-secure-flow", "forbidden-clock",
         "runner-fanout", "set-iteration", "unseeded-rng"]
 
 
@@ -278,11 +267,6 @@ def test_repo_is_clean():
         "\n".join(f"{f.location()} {f.rule}: {f.message}"
                   for f in result.findings)
     assert result.files["markdown"] > 0
-    # a surface whose module is not analysed is skipped, so a moved
-    # module must fail here rather than silently stop being checked
-    for surface in DEFAULT_CONFIG.surfaces:
-        module = surface.dataclass.rpartition(".")[0]
-        assert (REPO / "src" / f"{module.replace('.', '/')}.py").is_file()
 
 
 def test_package_import_stays_light():

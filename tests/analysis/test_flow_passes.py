@@ -1,29 +1,22 @@
-"""Whole-program check tests: project-index resolution and the three
+"""Whole-program check tests: project-index resolution and the two
 whole-program checks over fixture trees.
 
 Fixture trees are written under ``tmp_path`` at ``src/repro/pkg/...``,
 inside the whole-program checks' scope, and analysed with a fixture
-:class:`FlowConfig` whose surfaces / sinks / boundaries point at the
-fixture modules — so every check is exercised hermetically.  The drift
-tests additionally mutate copies of the *real* ``CampaignSpec`` /
-``CampaignCell`` / ``ArenaSpec`` sources to prove the production
-contract: adding a field without updating the fingerprint function is
-caught.
+:class:`FlowConfig` whose sinks / boundaries point at the fixture
+modules — so every check is exercised hermetically.
 """
 
 import ast
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.checks.determinism import nondeterminism_sources
-from repro.analysis.config import FingerprintSurface, FlowConfig
+from repro.analysis.config import FlowConfig
 from repro.analysis.engine import run
 from repro.analysis.index import ProjectIndex
 from repro.analysis.source import SourceFile
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 def write_tree(tmp_path, files):
@@ -64,26 +57,6 @@ def test_index_import_alias_expansion(tmp_path):
     mod = index.modules["pkg.a"]
     assert mod.expand("np.random.rand") == "numpy.random.rand"
     assert mod.expand("h") == "pkg.b.helper"
-
-
-def test_index_dataclass_field_registry(tmp_path):
-    index = build_index(tmp_path, {"pkg/spec.py": """\
-        from dataclasses import dataclass
-        from typing import ClassVar
-
-        @dataclass
-        class Spec:
-            alpha: int
-            beta: str = "x"
-            KIND: ClassVar[str] = "spec"
-
-        class NotADataclass:
-            gamma: int
-    """})
-    spec = index.classes["pkg.spec.Spec"]
-    assert spec.is_dataclass
-    assert [f.name for f in spec.fields] == ["alpha", "beta"]
-    assert not index.classes["pkg.spec.NotADataclass"].fields
 
 
 def test_index_call_graph_resolution(tmp_path):
@@ -163,200 +136,6 @@ def test_index_reachable_stops_at_barrier(tmp_path):
     assert "pkg.obs.emit" not in blocked
     assert index.call_path("pkg.a.top", "pkg.obs.deep") == \
         ["pkg.a.top", "pkg.obs.emit", "pkg.obs.deep"]
-
-
-# ---------------------------------------------------------------------------
-# fingerprint-drift check
-
-
-DRIFT_CONFIG = FlowConfig(surfaces=(
-    FingerprintSurface("repro.pkg.spec.Spec",
-                       "repro.pkg.spec.Spec.fingerprint"),))
-
-SPEC_WITH_DRIFT = """\
-    from dataclasses import dataclass
-
-    @dataclass
-    class Spec:
-        alpha: int
-        beta: int
-        gamma: int
-
-        def fingerprint(self):
-            return f"{self.alpha}|{self.beta}"
-"""
-
-
-def test_drift_flags_unconsumed_field(tmp_path):
-    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
-                       DRIFT_CONFIG)
-    assert rules_of(result) == ["fingerprint-drift"]
-    finding = result.findings[0]
-    assert finding.data["field"] == "gamma"
-    assert finding.line == 7
-    assert "fingerprint-exempt" in finding.message
-
-
-def test_drift_gains_field_is_flagged(tmp_path):
-    """The headline contract: a dataclass gaining a field the
-    fingerprint does not hash is detected."""
-    clean = SPEC_WITH_DRIFT.replace("        gamma: int\n", "")
-    assert not flow_tree(tmp_path / "a", {"src/repro/pkg/spec.py": clean},
-                         DRIFT_CONFIG).findings
-    grown = flow_tree(tmp_path / "b",
-                      {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
-                      DRIFT_CONFIG)
-    assert [f.data["field"] for f in grown.findings] == ["gamma"]
-
-
-def test_drift_covers_all_idiom_is_future_proof(tmp_path):
-    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": """\
-        from dataclasses import dataclass, fields
-
-        @dataclass
-        class Spec:
-            alpha: int
-            brand_new_field: int
-
-            def fingerprint(self):
-                return "|".join(str(getattr(self, f.name))
-                                for f in fields(self))
-    """}, DRIFT_CONFIG)
-    assert result.findings == []
-
-
-def test_drift_follows_to_dict_and_helpers(tmp_path):
-    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": """\
-        from dataclasses import dataclass
-
-        def _canon(spec):
-            return {"beta": spec.beta}
-
-        @dataclass
-        class Spec:
-            alpha: int
-            beta: int
-
-            def to_dict(self):
-                return {"alpha": self.alpha, **_canon(self)}
-
-            def fingerprint(self):
-                return str(self.to_dict())
-    """}, DRIFT_CONFIG)
-    assert result.findings == []
-
-
-def test_drift_exemption_annotation(tmp_path):
-    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": """\
-        from dataclasses import dataclass
-
-        @dataclass
-        class Spec:
-            alpha: int
-            # flow: fingerprint-exempt(derived at load time)
-            cache_dir: str
-            position: int  # flow: fingerprint-exempt(ordering only)
-
-            def fingerprint(self):
-                return str(self.alpha)
-    """}, DRIFT_CONFIG)
-    assert result.findings == []
-
-
-def test_drift_broken_surface_fails_loudly(tmp_path):
-    config = FlowConfig(surfaces=(
-        FingerprintSurface("repro.pkg.spec.Renamed",
-                           "repro.pkg.spec.Spec.fingerprint"),))
-    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
-                       config)
-    assert rules_of(result) == ["fingerprint-drift"]
-    assert "broken" in result.findings[0].message
-
-
-def test_drift_surface_outside_the_analysed_paths_is_skipped(tmp_path):
-    """A surface whose module the run does not analyse is out of scope,
-    not broken: analysing a subtree must not flag the rest of the
-    project's surfaces."""
-    config = FlowConfig(surfaces=DRIFT_CONFIG.surfaces + (
-        FingerprintSurface("repro.elsewhere.Spec",
-                           "repro.elsewhere.Spec.fingerprint"),))
-    result = flow_tree(tmp_path, {"src/repro/pkg/spec.py": SPEC_WITH_DRIFT},
-                       config)
-    assert [f.data["field"] for f in result.findings] == ["gamma"]
-
-
-def test_drift_detected_on_real_campaignspec_axis(tmp_path):
-    """Adding a matrix axis to a copy of the real CampaignSpec without
-    threading it into ``to_dict`` (the fingerprint source) is caught —
-    exactly the --resume poisoning ISSUE 10 guards against."""
-    source = (REPO / "src/repro/campaign/spec.py").read_text()
-    anchor = '    tenancies: Tuple[str, ...] = ("single",)'
-    assert anchor in source
-    mutated = source.replace(anchor,
-                             anchor + "\n    new_axis: int = 0")
-    result = flow_tree(
-        tmp_path, {"src/repro/campaign/spec.py": mutated},
-        FlowConfig(surfaces=(
-            FingerprintSurface(
-                "repro.campaign.spec.CampaignSpec",
-                "repro.campaign.spec.CampaignSpec.fingerprint"),)),
-        select=["fingerprint-drift"])
-    assert [f.data["field"] for f in result.findings] == ["new_axis"]
-
-
-CELL_SURFACE = FlowConfig(surfaces=(
-    FingerprintSurface("repro.campaign.spec.CampaignCell",
-                       "repro.campaign.spec.CampaignCell.fingerprint"),))
-
-
-def test_drift_detected_on_real_campaigncell_field(tmp_path):
-    """A CampaignCell field left out of ``config()`` (what the cell
-    fingerprint hashes) is caught on a copy of the real source: two
-    cells differing only in it would share one CellCache entry."""
-    source = (REPO / "src/repro/campaign/spec.py").read_text()
-    anchor = '    tenancy: str = "single"      # "single" | "smt"'
-    assert source.count(anchor) == 1
-    mutated = source.replace(anchor, "    warmup: int = 0\n" + anchor)
-    result = flow_tree(tmp_path, {"src/repro/campaign/spec.py": mutated},
-                       CELL_SURFACE, select=["fingerprint-drift"])
-    assert [f.data["field"] for f in result.findings] == ["warmup"]
-
-
-def test_real_campaigncell_index_exemption_is_honoured(tmp_path):
-    """``CampaignCell.index`` stays outside the content address on
-    purpose: the real source is clean because of its exemption, and the
-    same source without it is flagged."""
-    source = (REPO / "src/repro/campaign/spec.py").read_text()
-    exemption = ("    # flow: fingerprint-exempt(matrix position only, "
-                 "not simulated state)\n")
-    assert source.count(exemption) == 1
-    exempt = flow_tree(tmp_path / "exempt",
-                       {"src/repro/campaign/spec.py": source},
-                       CELL_SURFACE, select=["fingerprint-drift"])
-    bare = flow_tree(tmp_path / "bare",
-                     {"src/repro/campaign/spec.py":
-                      source.replace(exemption, "")},
-                     CELL_SURFACE, select=["fingerprint-drift"])
-    assert exempt.findings == []
-    assert [f.data["field"] for f in bare.findings] == ["index"]
-
-
-def test_drift_detected_on_real_arenaspec_knob(tmp_path):
-    """An ArenaSpec knob that ``to_dict`` (the fingerprint source) does
-    not carry is caught on a copy of the real source: ``--resume`` would
-    splice lineages run under different values of it."""
-    source = (REPO / "src/repro/arena/loop.py").read_text()
-    anchor = "    fn_budget: float = 0.05"
-    assert source.count(anchor) == 1
-    mutated = source.replace(anchor,
-                             anchor + "\n    mutation_rate: float = 0.1")
-    result = flow_tree(
-        tmp_path, {"src/repro/arena/loop.py": mutated},
-        FlowConfig(surfaces=(
-            FingerprintSurface("repro.arena.loop.ArenaSpec",
-                               "repro.arena.loop.ArenaSpec.fingerprint"),)),
-        select=["fingerprint-drift"])
-    assert [f.data["field"] for f in result.findings] == ["mutation_rate"]
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,33 @@ def test_runner_fanout_needs_the_import(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# digest-module
+
+
+def test_digest_module_flags_every_hashlib_import(tmp_path):
+    result = lint_tree(tmp_path, {"src/repro/campaign/x.py": """\
+        import hashlib
+        from hashlib import sha256
+
+        def f(blob):
+            import hashlib as h
+            return h.md5(blob).hexdigest()
+    """}, select=["digest-module"])
+    assert [f.line for f in result.findings] == [1, 2, 5]
+    assert result.findings[0].data == {"module": "hashlib"}
+
+
+def test_digest_module_exempts_only_the_digest_module(tmp_path):
+    source = "import hashlib\n"
+    result = lint_tree(tmp_path, {"src/repro/runtime/digest.py": source,
+                                  "src/repro/runtime/atomic.py": source,
+                                  "scripts/tool.py": source},
+                       select=["digest-module"])
+    assert [f.path for f in result.findings] == [
+        "src/repro/runtime/atomic.py"]
+
+
+# ---------------------------------------------------------------------------
 # docs links
 
 

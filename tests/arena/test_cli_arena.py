@@ -77,7 +77,8 @@ def test_arena_mismatched_eval_corpus_exits_fatal(finished, tmp_path,
     """A corpus sidecar carrying a foreign counter-layout fingerprint is
     refused with the typed one-line exit-2 error."""
     from repro.data.dataset import Dataset, SampleRecord
-    from repro.data.io import save_dataset
+    from repro.data.io import META_SCHEMA, save_dataset
+    from repro.runtime.digest import read_sealed, write_sealed
     from repro.sim.hpc import COUNTER_NAMES
 
     directory, _ = finished
@@ -86,10 +87,11 @@ def test_arena_mismatched_eval_corpus_exits_fatal(finished, tmp_path,
                           commit_index=0)
     corpus_path = str(tmp_path / "eval")
     save_dataset(Dataset(records=[record], sample_period=150), corpus_path)
+    # resealed, so the sidecar verifies and the layout check objects
     meta_path = corpus_path + ".meta.json"
-    meta = json.loads(open(meta_path).read())
+    meta = read_sealed(meta_path, META_SCHEMA)
     meta["counters_sha256"] = "0" * 64
-    open(meta_path, "w").write(json.dumps(meta))
+    write_sealed(meta_path, META_SCHEMA, meta)
 
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from repro.arena.genome import (
-    FAMILIES, TOOLS, build_attack, canonical_json, genome_key, mutate_genome,
-    sample_genome, seed_population,
+    FAMILIES, TOOLS, build_attack, genome_key, mutate_genome, sample_genome,
+    seed_population,
 )
 from repro.attacks import EvasiveAttack
 from repro.attacks.rowhammer import Rowhammer, TRRespass
+from repro.runtime.digest import canonical
 
 
 def rng(seed=11):
@@ -53,8 +54,8 @@ class TestSampling:
         """The canonical form must survive a JSON round trip unchanged —
         genomes live in checkpoint shards and worker payloads."""
         for g in seed_population(6, rng()):
-            assert json.loads(canonical_json(g)) == g
-            assert genome_key(json.loads(canonical_json(g))) == genome_key(g)
+            assert json.loads(canonical(g)) == g
+            assert genome_key(json.loads(canonical(g))) == genome_key(g)
 
 
 class TestMutation:
@@ -99,7 +100,7 @@ class TestBuildAttack:
         must not depend on builder identity or call order."""
         g = sample_genome(rng(9), tool=tool)
         prog_a, _ = build_attack(g).build()
-        prog_b, _ = build_attack(json.loads(canonical_json(g))).build()
+        prog_b, _ = build_attack(json.loads(canonical(g))).build()
         ops_a = [(i.op, i.rd, i.rs1, i.rs2, i.imm, i.target)
                  for i in prog_a.instructions]
         ops_b = [(i.op, i.rd, i.rs1, i.rs2, i.imm, i.target)

@@ -81,11 +81,10 @@ class TestCleanRun:
         spec, directory, _ = clean
         for name in ("arena.md", "arena.json", "detector.json"):
             assert os.path.exists(os.path.join(directory, name))
-        store_dir = os.path.join(directory, "checkpoints")
-        assert os.path.exists(os.path.join(store_dir, "manifest.json"))
+        store = CheckpointStore(os.path.join(directory, "checkpoints"))
+        assert os.path.exists(os.path.join(store.directory, "manifest.json"))
         for g in range(spec.generations + 1):
-            assert os.path.exists(os.path.join(store_dir,
-                                               f"gen-{g}.shard.json"))
+            assert os.path.exists(store.path(f"gen-{g}"))
 
     def test_ledger_counts_match_trajectory(self, clean):
         spec, directory, result = clean

@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.campaign import CampaignSpec, CellCache, CellCorruptError
+from repro.campaign.cache import CELL_SCHEMA
+from repro.runtime.digest import read_sealed, write_sealed
 
 RESULT = {"cycles": 420, "committed": 300, "ipc": 0.7143, "windows": 3,
           "counters_sha256": "ab" * 32}
@@ -79,10 +81,13 @@ def test_misfiled_entry_fails_fingerprint_check(cache, cell):
 
 
 def test_tampered_config_fails_fingerprint_check(cache, cell):
+    """A config edited and resealed passes the checksum, but no longer
+    hashes to the entry's name."""
     cache.put(cell, RESULT)
-    entry = json.loads(open(cache.entry_path(cell.fingerprint)).read())
+    path = cache.entry_path(cell.fingerprint)
+    entry = read_sealed(path, CELL_SCHEMA)
     entry["config"]["seed"] = 999
-    _mangle(cache, cell, lambda d: json.dumps(entry).encode())
+    write_sealed(path, CELL_SCHEMA, entry)
     with pytest.raises(CellCorruptError) as exc:
         cache.get(cell.fingerprint)
     assert exc.value.reason == "fingerprint"
@@ -91,7 +96,7 @@ def test_tampered_config_fails_fingerprint_check(cache, cell):
 def test_tampered_result_fails_checksum(cache, cell):
     cache.put(cell, RESULT)
     entry = json.loads(open(cache.entry_path(cell.fingerprint)).read())
-    entry["result"]["ipc"] = 9.99                   # silent result flip
+    entry["payload"]["result"]["ipc"] = 9.99        # silent result flip
     _mangle(cache, cell, lambda d: json.dumps(entry).encode())
     with pytest.raises(CellCorruptError) as exc:
         cache.get(cell.fingerprint)

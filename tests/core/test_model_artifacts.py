@@ -10,10 +10,11 @@ import pytest
 from repro.core.patching import (
     MODEL_FORMAT, ModelChecksumError, ModelCorruptError, ModelError,
     ModelMissingError, ModelSchemaError, detector_from_dict,
-    detector_to_dict, load_detector, save_detector, schema_fingerprint,
+    detector_to_dict, load_detector, save_detector,
     verify_corpus_compatible,
 )
 from repro.core.perceptron import HardwareDetector, evax_schema
+from repro.runtime.digest import canonical, fingerprint, write_sealed
 
 
 @pytest.fixture()
@@ -40,14 +41,12 @@ def test_roundtrip_preserves_everything(detector, artifact):
                           detector.normalizer.max_values)
 
 
-def test_envelope_carries_format_checksum_and_fingerprint(detector,
-                                                          artifact):
-    envelope = json.load(open(artifact))
-    assert envelope["format"] == MODEL_FORMAT
-    assert len(envelope["sha256"]) == 64
-    assert envelope["schema_fingerprint"] == \
-        schema_fingerprint(detector.schema)
-    assert envelope["feature_count"] == detector.schema.dim
+def test_artifact_is_a_sealed_detector(detector, artifact):
+    sealed = json.load(open(artifact))
+    assert sealed["schema"] == MODEL_FORMAT == "repro.detector/3"
+    assert sealed["payload"] == json.loads(
+        canonical(detector_to_dict(detector)))
+    assert sealed["sha256"] == fingerprint(sealed["payload"])
 
 
 def test_missing_file_is_typed(tmp_path):
@@ -71,7 +70,7 @@ def test_non_object_payload_is_corrupt(tmp_path):
 
 def test_flipped_weight_fails_checksum(artifact):
     envelope = json.load(open(artifact))
-    envelope["detector"]["layers"][0]["weights"][0][0] += 0.25
+    envelope["payload"]["layers"][0]["weights"][0][0] += 0.25
     json.dump(envelope, open(artifact, "w"))
     with pytest.raises(ModelChecksumError):
         load_detector(artifact)
@@ -79,7 +78,7 @@ def test_flipped_weight_fails_checksum(artifact):
 
 def test_unknown_format_tag_is_schema_error(artifact):
     envelope = json.load(open(artifact))
-    envelope["format"] = "repro.detector/999"
+    envelope["schema"] = "repro.detector/999"
     json.dump(envelope, open(artifact, "w"))
     with pytest.raises(ModelSchemaError):
         load_detector(artifact)
@@ -97,24 +96,21 @@ def test_nonfinite_weights_rejected_even_with_valid_checksum(detector,
 
 
 def test_dimension_mismatch_rejected(detector, artifact):
-    envelope = json.load(open(artifact))
-    payload = envelope["detector"]
+    payload = detector_to_dict(detector)
     payload["layers"][0]["weights"] = payload["layers"][0]["weights"][:-1]
-    # recompute the checksum so only the structural check can object
-    import hashlib
-    envelope["sha256"] = hashlib.sha256(json.dumps(
-        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    json.dump(envelope, open(artifact, "w"))
+    # sealed by the one writer, so only the structural check can object
+    write_sealed(artifact, MODEL_FORMAT, payload)
     with pytest.raises(ModelSchemaError):
         load_detector(artifact)
 
 
-def test_legacy_envelope_less_artifact_still_loads(detector, tmp_path):
+def test_legacy_envelope_less_artifact_is_refused(detector, tmp_path):
+    """There is one reader: a bare ``detector_to_dict`` payload (the
+    pre-envelope layout) is another format, not a detector."""
     path = str(tmp_path / "legacy.json")
     json.dump(detector_to_dict(detector), open(path, "w"))
-    loaded = load_detector(path)
-    for a, b in zip(loaded.net.parameters, detector.net.parameters):
-        assert np.array_equal(a, b)
+    with pytest.raises(ModelSchemaError, match="repro.detector/3"):
+        load_detector(path)
 
 
 def test_model_errors_are_value_errors(artifact):
@@ -154,7 +150,7 @@ def test_cli_rejects_corrupted_detector_with_exit_2(artifact, capsys):
     from repro.cli import main
 
     envelope = json.load(open(artifact))
-    envelope["detector"]["threshold"] = 0.2       # silently retuned
+    envelope["payload"]["threshold"] = 0.2        # silently retuned
     json.dump(envelope, open(artifact, "w"))
     with pytest.raises(SystemExit) as err:
         main(["explain", artifact])

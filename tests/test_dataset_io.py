@@ -10,6 +10,8 @@ from repro.data import (
     DatasetMissingError, DatasetSchemaError, SampleRecord, load_dataset,
     save_dataset,
 )
+from repro.data.io import META_SCHEMA
+from repro.runtime.digest import read_sealed, sha256_bytes, write_sealed
 from repro.sim.hpc import COUNTER_NAMES
 
 
@@ -45,10 +47,39 @@ def test_corrupt_metadata_rejected(small_dataset, tmp_path):
     text = meta.read_text()
     # drop one record from the metadata
     data = json.loads(text)
-    data["records"] = data["records"][:-1]
+    data["payload"]["records"] = data["payload"]["records"][:-1]
     meta.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+def _tamper_first_attack_record(meta_path):
+    """Relabel the sidecar's first attack window as benign in place,
+    wherever the sidecar keeps its records."""
+    with open(meta_path) as f:
+        data = json.load(f)
+    records = data.get("payload", data)["records"]
+    record = next(r for r in records if r["label"] == 1)
+    record["label"], record["category"] = 0, "benign"
+    with open(meta_path, "w") as f:
+        json.dump(data, f)
+
+
+def test_tampered_sidecar_labels_fail_the_checksum(tmp_path, capsys):
+    """Labels, categories and phases live only in the sidecar, so the
+    sidecar's digest must cover them: a relabelled attack window must
+    not load as a benign one."""
+    from repro.cli import main
+    path = str(tmp_path / "corpus")
+    save_dataset(_tiny_dataset(4), path)
+    _tamper_first_attack_record(path + ".meta.json")
+    with pytest.raises(DatasetChecksumError):
+        load_dataset(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", path, "--no-manifest"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "checksum mismatch" in err
 
 
 def _tiny_dataset(n=3):
@@ -86,11 +117,14 @@ class TestTypedErrors:
         save_dataset(_tiny_dataset(), path)
         npz = tmp_path / "corpus.npz"
         npz.write_bytes(npz.read_bytes()[: 40])
-        # a legacy sidecar (no digest) must still detect the truncation
-        meta = tmp_path / "corpus.meta.json"
-        data = json.loads(meta.read_text())
-        del data["npz_sha256"]
-        meta.write_text(json.dumps(data))
+        with pytest.raises(DatasetChecksumError):
+            load_dataset(path)
+        # a sidecar resealed over the truncated matrix's digest passes
+        # the checksum: the matrix parse itself must still object
+        meta = str(tmp_path / "corpus.meta.json")
+        data = read_sealed(meta, META_SCHEMA)
+        data["npz_sha256"] = sha256_bytes(npz.read_bytes())
+        write_sealed(meta, META_SCHEMA, data)
         with pytest.raises(DatasetCorruptError):
             load_dataset(path)
 
@@ -104,11 +138,10 @@ class TestTypedErrors:
     def test_row_count_mismatch(self, tmp_path):
         path = str(tmp_path / "corpus")
         save_dataset(_tiny_dataset(), path)
-        meta = tmp_path / "corpus.meta.json"
-        data = json.loads(meta.read_text())
+        meta = str(tmp_path / "corpus.meta.json")
+        data = read_sealed(meta, META_SCHEMA)
         data["records"] = data["records"][:-1]
-        data["n_records"] = len(data["records"])
-        meta.write_text(json.dumps(data))
+        write_sealed(meta, META_SCHEMA, data)       # a consistent seal
         with pytest.raises(DatasetSchemaError):
             load_dataset(path)
 
@@ -137,23 +170,24 @@ class TestMidWriteKill:
     DatasetError."""
 
     def _save_with_kill(self, dataset, path, kill_at):
-        """Run save_dataset but die just before atomic write #kill_at."""
-        import repro.data.io as dio
-        real = dio.atomic_write_bytes
+        """Run save_dataset but die just before atomic write #kill_at
+        publishes its file (the rename every atomic write ends in)."""
+        import os
+        real = os.replace
         calls = {"n": 0}
 
-        def flaky(target, data, **kwargs):
+        def flaky(src, dst):
             calls["n"] += 1
             if calls["n"] >= kill_at:
                 raise _Killed()
-            return real(target, data, **kwargs)
+            return real(src, dst)
 
-        dio.atomic_write_bytes = flaky
+        os.replace = flaky
         try:
             with pytest.raises(_Killed):
                 save_dataset(dataset, path)
         finally:
-            dio.atomic_write_bytes = real
+            os.replace = real
 
     @pytest.mark.parametrize("kill_at", [1, 2])
     def test_interrupted_overwrite_is_never_silently_wrong(
