@@ -37,10 +37,11 @@ python scripts/resume_smoke.py
 # bit-for-bit — see docs/campaigns.md
 python -m repro campaign --smoke --no-manifest
 
-# arena smoke (~6s): clean arms race exits 0, SIGKILL mid-generation +
-# --resume reproduces the report bit-for-bit, and a worker kill plus a
-# sabotaged candidate degrade to classified holes with the gate rolled
-# back — see docs/arena.md
+# arena smoke (~6s): clean arms race exits 0 and scores at least one
+# carried elite from its previous evaluation, SIGKILL mid-generation +
+# --resume (which re-simulates those elites) reproduces the report
+# bit-for-bit, and a worker kill plus a sabotaged candidate degrade to
+# classified holes with the gate rolled back — see docs/arena.md
 python -m repro arena --smoke --no-manifest
 
 # serving smoke (~5s): batch==single bit-identity, batched-kernel and

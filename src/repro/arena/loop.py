@@ -3,12 +3,14 @@
 :func:`run_arena` pits an evolving attack population against the current
 detector, generation by generation:
 
-1. **evaluate** — every genome is simulated in an isolated worker
-   (:mod:`repro.arena.workers`); the parent scores its windows against
-   the *incumbent* detector.  Fitness is the evasion rate (fraction of
-   windows the detector misses) — but only genomes whose channel
-   actually **leaked** are eligible to survive, so evolution cannot
-   "win" by breeding duds;
+1. **evaluate** — every new genome is simulated in an isolated worker
+   (:mod:`repro.arena.workers`); an elite carried verbatim from the
+   previous generation keeps that generation's evaluation instead,
+   since an evaluation is a pure function of the genome.  The parent
+   scores the windows against the *incumbent* detector.  Fitness is the
+   evasion rate (fraction of windows the detector misses) — but only
+   genomes whose channel actually **leaked** are eligible to survive,
+   so evolution cannot "win" by breeding duds;
 2. **re-vaccinate** — the survivors' windows are folded into the
    training corpus as an ``arena-evolved`` attack class and the full
    AM-GAN pipeline retrains a candidate detector under a
@@ -24,11 +26,13 @@ detector, generation by generation:
 Every generation is checkpointed through
 :class:`~repro.runtime.CheckpointStore` (population, detector weights,
 RNG state, trajectory, holes), so ``--resume`` after a SIGKILL replays
-the interrupted generation **bit-identically** — the report
-(:data:`REPORT_NAME`) is a pure function of the trajectory and diffs
-byte-equal against an uninterrupted run.  Per-genome crashes, diverged
-retrains and corrupted checkpoints degrade to classified holes; only an
-unusable spec/directory or a failed *initial* vaccination is fatal.
+the interrupted generation **bit-identically** (a resumed race carries
+no evaluation into its first generation, so it simulates every genome)
+— the report (:data:`REPORT_NAME`) is a pure function of the
+trajectory and diffs byte-equal against an uninterrupted run.
+Per-genome crashes, diverged retrains and corrupted checkpoints degrade
+to classified holes; only an unusable spec/directory or a failed
+*initial* vaccination is fatal.
 
 Exit-code contract (mirrors ``repro campaign``): 0 = clean, 1 =
 completed with holes, 2 = fatal (raised as
@@ -383,21 +387,23 @@ def run_arena(spec, directory, *, processes=None, retries=1,
         claimed = {g: f"gen-{g}" for g in range(spec.generations + 1)
                    if store.has(f"gen-{g}")}
         valid = set(store.valid_keys())
-        restore_gen = None
+        restore_gen = max((g for g in claimed if claimed[g] in valid),
+                          default=None)
         for g in sorted(claimed):
             if claimed[g] in valid:
-                restore_gen = g
-            else:
-                # the shard is gone or fails its checksum: classify the
-                # hole and re-run the generation (self-healing)
-                holes.append({"generation": g, "kind": CHECKPOINT_CORRUPT,
-                              "key": claimed[g],
-                              "message": "generation checkpoint missing or "
-                                         "corrupt; re-running"})
-                reg.inc("arena.checkpoint.corrupt")
-                reg.inc("arena.genomes.holes")
-                obs_event("arena.hole", level="error", generation=g,
-                          kind=CHECKPOINT_CORRUPT, key=claimed[g])
+                continue
+            reg.inc("arena.checkpoint.corrupt")
+            if restore_gen is not None and g < restore_gen:
+                continue         # superseded by the restore point
+            # the shard is gone or fails its checksum: classify the hole
+            # and re-run the generation (self-healing)
+            holes.append({"generation": g, "kind": CHECKPOINT_CORRUPT,
+                          "key": claimed[g],
+                          "message": "generation checkpoint missing or "
+                                     "corrupt; re-running"})
+            reg.inc("arena.genomes.holes")
+            obs_event("arena.hole", level="error", generation=g,
+                      kind=CHECKPOINT_CORRUPT, key=claimed[g])
         if restore_gen is not None:
             payload = store.get(f"gen-{restore_gen}")
             population = payload["population"]
@@ -445,15 +451,18 @@ def run_arena(spec, directory, *, processes=None, retries=1,
     ledger.flush(trajectory, holes)
 
     # -- the arms race ---------------------------------------------------------
+    # the previous generation's evaluations by genome fingerprint; a
+    # resumed race starts without them and simulates every genome
+    carried = {}
     for g in range(start_gen, spec.generations + 1):
         gen_started = time.monotonic()
         if chaos is not None:
             chaos.maybe_kill(g, "evaluate")
         gen_seed = (spec.seed * 1_000_003 + g) % (2 ** 31)
 
-        evaluations, gen_holes = _evaluate_population(
+        evaluations, gen_holes, reused = _evaluate_population(
             spec, population, g, processes, retries, task_timeout,
-            chaos, reg)
+            chaos, reg, carried)
         holes.extend(gen_holes)
 
         ranked = []
@@ -538,11 +547,14 @@ def run_arena(spec, directory, *, processes=None, retries=1,
         reg.observe("arena.generation.seconds",
                     time.monotonic() - gen_started)
         obs_event("arena.generation", generation=g,
-                  evaluated=entry["evaluated"], leaked=entry["leaked"],
+                  evaluated=entry["evaluated"], reused=reused,
+                  leaked=entry["leaked"],
                   evasion_mean=entry["evasion_mean"],
                   promoted=promoted)
 
         # -- breed the next generation ----------------------------------------
+        carried = {fingerprint(population[index]): evaluation
+                   for index, evaluation in evaluations.items()}
         population = _breed([genome for _, genome in survivors],
                             spec.population, rng)
         _checkpoint(store, g, population, incumbent, rng, trajectory,
@@ -567,24 +579,39 @@ def run_arena(spec, directory, *, processes=None, retries=1,
 # -- helpers ------------------------------------------------------------------
 
 def _evaluate_population(spec, population, generation, processes, retries,
-                         task_timeout, chaos, reg):
-    """Fan the generation's genomes out over isolated workers; crashes,
-    hangs and divergent traces become classified holes."""
-    tasks = []
+                         task_timeout, chaos, reg, carried):
+    """One evaluation per genome index, plus the generation's holes and
+    the number of evaluations reused.
+
+    A genome whose fingerprint is in ``carried`` (the previous
+    generation's evaluations) takes that evaluation: ``evaluate_genome``
+    is a pure function of its payload, so a worker would return the same
+    dict.  The rest, and any genome a chaos worker kill is aimed at, fan
+    out over isolated workers; crashes, hangs and divergent traces
+    become classified holes.
+    """
+    evaluations, tasks = {}, []
     for index, genome in enumerate(population):
         kill = chaos.kill_attempts(generation, index) \
             if chaos is not None else 0
+        previous = carried.get(fingerprint(genome))
+        if previous is not None and not kill:
+            evaluations[index] = previous
+            continue
         tasks.append(Task(
             key=f"g{generation}:{index}:{genome_key(genome)}",
             payload={"genome": genome,
                      "sample_period": spec.sample_period,
                      "kill_attempts": kill}))
+    reused = len(evaluations)
+    reg.inc("arena.genomes.reused", reused)
+    reg.inc("arena.genomes.evaluated", reused)
     if processes is None:
         processes = max(1, min(len(tasks) or 1, (os.cpu_count() or 2)))
     runner = TaskRunner(evaluate_genome, processes=processes,
                         retries=retries, timeout=task_timeout,
                         validator=validate_evaluation)
-    evaluations, gen_holes = {}, []
+    gen_holes = []
     with contextlib.closing(runner.run(tasks)) as outcomes:
         for outcome in outcomes:
             index = int(outcome.key.split(":")[1])
@@ -599,7 +626,7 @@ def _evaluate_population(spec, population, generation, processes, retries,
                 obs_event("arena.hole", level="error",
                           generation=generation, kind=outcome.kind,
                           key=outcome.key, message=outcome.message)
-    return evaluations, gen_holes
+    return evaluations, gen_holes, reused
 
 
 def _revaccinate(spec, train_ds, extra_records, seed, guard_policy, chaos):

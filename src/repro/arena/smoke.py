@@ -3,13 +3,18 @@
 A self-contained proof of the arms race's whole degradation contract,
 run by ``scripts/ci.sh`` on every push:
 
-1. an **uninterrupted** 2-generation race completes clean (exit 0) —
-   its deterministic report (``arena.md``) is the reference;
+1. an **uninterrupted** 2-generation race completes clean (exit 0)
+   and scores at least one elite carried into generation 2 from its
+   generation-1 evaluation instead of simulating it again — its
+   deterministic report (``arena.md``) is the reference;
 2. the same spec is **SIGKILLed mid-generation** (a ``gen_kill`` chaos
    fault at the top of generation 2), then ``--resume``\\ d: the resumed
    run restores generation 1's checkpoint (population, detector
    weights, RNG state), replays generation 2, exits 0 and produces a
-   **byte-identical report** — the bit-exact resume acceptance check;
+   **byte-identical report** — the bit-exact resume acceptance check.
+   The resumed generation carries nothing over and simulates every
+   genome, so this also checks that the reused evaluations equal
+   re-simulated ones;
 3. a 1-generation race is wounded twice — a genome's worker SIGKILLed
    (no retries) and the candidate detector **sabotaged ahead of the
    regression gate** — and must degrade, not abort: exit 1 with
@@ -25,6 +30,7 @@ import tempfile
 
 from repro.arena.loop import ArenaSpec, run_arena
 from repro.core.patching import detector_to_dict
+from repro.obs import metrics
 from repro.runtime import (
     CRASH, GATE_REGRESS_FAULT, GATE_REGRESSION, GEN_KILL_FAULT,
     GENOME_KILL_FAULT, ArenaChaos, ArenaFault, ChaosKill, CheckpointStore,
@@ -71,7 +77,10 @@ def run_smoke(jobs=None, echo=print):
             tempfile.TemporaryDirectory() as chaos_dir, \
             tempfile.TemporaryDirectory() as gate_dir:
         # -- phase 1: uninterrupted reference ---------------------------------
+        reused = metrics().counter("arena.genomes.reused")
+        reused_before = reused.value
         clean = run_arena(spec, clean_dir, processes=jobs, retries=1)
+        clean_reused = reused.value - reused_before
         if clean.exit_code != 0:
             echo(f"arena smoke FAILED: uninterrupted run had "
                  f"{len(clean.holes)} holes")
@@ -80,6 +89,10 @@ def run_smoke(jobs=None, echo=print):
             echo(f"arena smoke FAILED: uninterrupted run gated "
                  f"{clean.promotions + clean.rollbacks} candidates, "
                  f"expected {spec.generations}")
+            return 1
+        if clean_reused < 1:
+            echo("arena smoke FAILED: uninterrupted run reused no "
+                 "evaluation of a carried elite")
             return 1
         reference = _read(os.path.join(clean_dir, "arena.md"))
 
@@ -135,7 +148,8 @@ def run_smoke(jobs=None, echo=print):
                  "from the generation-0 incumbent")
             return 1
 
-    echo(f"arena smoke ok: {spec.generations} generations; "
+    echo(f"arena smoke ok: {spec.generations} generations, "
+         f"{clean_reused} evaluations reused; "
          f"kill at gen {KILLED_GENERATION} -> resume bit-identical; "
          f"worker kill + sabotaged candidate -> 2 classified holes, "
          f"gate rolled back, exit 1")

@@ -1,14 +1,16 @@
 """Forked-worker entry points for the arena's genome evaluation fan-out.
 
-Each genome is simulated in a forked :class:`~repro.runtime.runner`
-worker process: the worker rebuilds the attack from its genome dict,
-runs the full simulation, checks whether the channel actually leaked,
-and ships the raw HPC windows back to the parent.  Failures are
-isolated per attempt, and a worker may have evaluated earlier genomes,
-so the result depends only on the payload.  Scoring against the
-incumbent detector happens in the *parent* — the detector never crosses
-the process boundary, so a candidate promotion mid-campaign can never
-race a stale copy in a worker.
+Each genome new to a generation is simulated in a forked
+:class:`~repro.runtime.runner` worker process: the worker rebuilds the
+attack from its genome dict, runs the full simulation, checks whether
+the channel actually leaked, and ships the raw HPC windows back to the
+parent.  Failures are isolated per attempt, and a worker may have
+evaluated earlier genomes, so the result depends only on the payload.
+That purity also lets the parent score an elite carried into the next
+generation from its previous evaluation, without a worker.  Scoring
+against the incumbent detector happens in the *parent* — the detector
+never crosses the process boundary, so a candidate promotion
+mid-campaign can never race a stale copy in a worker.
 
 The function must be importable at module top level (workers are
 forked and re-call it by reference), and chaos worker-kill faults are

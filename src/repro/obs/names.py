@@ -149,7 +149,10 @@ CATALOG = {
         "arena.generations":
             ("counter", "arms-race generations completed"),
         "arena.genomes.evaluated":
-            ("counter", "genome evaluations completed in workers"),
+            ("counter", "genomes scored against the incumbent"),
+        "arena.genomes.reused":
+            ("counter", "genomes scored from the previous generation's "
+                        "evaluation instead of being simulated again"),
         "arena.genomes.leaked":
             ("counter", "evaluated genomes whose channel actually "
                         "leaked (eligible survivors)"),
@@ -239,8 +242,8 @@ EVENTS = {
         "arms race begun (generations, population, resume, "
         "spec_fingerprint)",
     "arena.generation":
-        "one generation resolved (generation, evaluated, leaked, "
-        "evasion_mean, promoted)",
+        "one generation resolved (generation, evaluated, reused, "
+        "leaked, evasion_mean, promoted)",
     "arena.gate":
         "regression-gate verdict (generation, promoted, reasons)",
     "arena.hole":

@@ -1,24 +1,37 @@
 """The arms-race loop: clean runs, bit-identical crash-resume, hole
 classification (worker kills, diverged retrains, corrupt checkpoints,
-gate rollbacks), and the fatal-error contract."""
+gate rollbacks), elites scored from their previous evaluation, and the
+fatal-error contract."""
 
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
+from repro.arena import loop
+from repro.arena.genome import genome_key, seed_population
 from repro.arena.loop import (
     ArenaSpec, build_corpus, render_arena_report, run_arena,
 )
+from repro.arena.workers import evaluate_genome
 from repro.core.patching import ModelSchemaError, detector_to_dict, \
     load_detector
 from repro.data.dataset import Dataset
+from repro.obs import metrics
 from repro.runtime import (
     ARENA_CHECKPOINT_CORRUPT_FAULT, CHECKPOINT_CORRUPT, CRASH,
     GATE_REGRESS_FAULT, GATE_REGRESSION, GEN_KILL_FAULT, GENOME_KILL_FAULT,
     REVACCINATE_NAN_FAULT, TRAINING_DIVERGED, ArenaChaos, ArenaError,
     ArenaFault, ChaosKill, CheckpointError, CheckpointStore,
+    corrupt_in_place, fingerprint,
 )
+
+#: the counters the reuse tests read before and after a race
+COUNTERS = ("runner.tasks.started", "runner.workers.started",
+            "arena.genomes.evaluated", "arena.genomes.reused",
+            "arena.checkpoint.corrupt")
 
 #: small enough to keep the module fast, big enough for real evolution
 SPEC = {
@@ -50,12 +63,49 @@ def read(path):
         return f.read()
 
 
+def counts():
+    values = metrics().snapshot()["counters"]
+    return {name: values.get(name, 0) for name in COUNTERS}
+
+
+def counted_since(before):
+    after = counts()
+    return {name: after[name] - before[name] for name in COUNTERS}
+
+
 @pytest.fixture(scope="module")
 def clean(tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("arena-clean"))
     spec = ArenaSpec(**SPEC)
     result = run_arena(spec, directory, processes=2, retries=1)
     return spec, directory, result
+
+
+@pytest.fixture(scope="module")
+def counted(tmp_path_factory):
+    """A fresh clean race, the counter deltas it caused, and every
+    ``(genome, evaluation)`` it scored from the previous generation
+    instead of simulating the genome again."""
+    spec = ArenaSpec(**SPEC)
+    reused = []
+    evaluate = loop._evaluate_population
+
+    def spy(spec_, population, generation, *args):
+        carried = args[-1]
+        evaluations, holes, count = evaluate(spec_, population, generation,
+                                             *args)
+        for index, evaluation in evaluations.items():
+            genome = population[index]
+            if carried.get(fingerprint(genome)) is evaluation:
+                reused.append((genome, evaluation))
+        return evaluations, holes, count
+
+    before = counts()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loop, "_evaluate_population", spy)
+        result = run_arena(spec, str(tmp_path_factory.mktemp("counted")),
+                           processes=2, retries=1)
+    return spec, result, counted_since(before), reused
 
 
 class TestCleanRun:
@@ -147,6 +197,26 @@ class TestResume:
         with pytest.raises(CheckpointError):
             run_arena(other, directory, resume=True)
 
+    def test_corrupt_shard_older_than_the_restore_point_is_no_hole(
+            self, clean, tmp_path):
+        """A finished race whose ``gen-1`` shard rots resumes from the
+        last generation and re-runs nothing: the bad shard is counted,
+        but is no hole, and the report still matches the clean race."""
+        spec, clean_dir, _ = clean
+        directory = str(tmp_path / "race")
+        shutil.copytree(clean_dir, directory)
+        store = CheckpointStore(os.path.join(directory, "checkpoints"))
+        corrupt_in_place(store.path("gen-1"))
+
+        before = counts()
+        resumed = run_arena(spec, directory, processes=2, retries=1,
+                            resume=True)
+        assert resumed.exit_code == 0
+        assert resumed.holes == []
+        assert counted_since(before)["arena.checkpoint.corrupt"] == 1
+        assert read(os.path.join(directory, "arena.md")) \
+            == read(os.path.join(clean_dir, "arena.md"))
+
     def test_corrupt_checkpoint_degrades_to_a_hole(self, clean, tmp_path):
         """A mangled generation shard is classified and its generation
         re-run — the race still finishes, bit-identical but for the
@@ -219,6 +289,63 @@ class TestHoles:
         assert entry["gate"] is None     # never reached the gate
         # the incumbent survived untouched
         assert entry["incumbent"] == result.trajectory[0]["incumbent"]
+
+
+class TestReuse:
+    """Elites carried into the next generation are scored from their
+    previous evaluation instead of being simulated again."""
+
+    def test_carried_elites_start_no_task(self, counted):
+        spec, result, delta, _ = counted
+        assert result.exit_code == 0
+        assert delta["arena.genomes.reused"] > 0
+        assert delta["runner.tasks.started"] \
+            + delta["arena.genomes.reused"] \
+            == delta["arena.genomes.evaluated"] \
+            == spec.population * spec.generations
+
+    def test_a_reused_evaluation_equals_a_fresh_one(self, counted):
+        spec, _, _, reused = counted
+        assert reused
+        for genome, evaluation in reused:
+            fresh = evaluate_genome({"genome": genome,
+                                     "sample_period": spec.sample_period,
+                                     "kill_attempts": 0}, 1)
+            assert fresh == evaluation
+
+    def test_a_fully_carried_population_forks_no_worker(self):
+        spec = one_gen_spec()
+        population = seed_population(spec.population,
+                                     np.random.default_rng(3))
+        carried = {fingerprint(genome): {"key": genome_key(genome)}
+                   for genome in population}
+        before = counts()
+        evaluations, holes, reused = loop._evaluate_population(
+            spec, population, 1, 2, 1, None, None, metrics(), carried)
+        delta = counted_since(before)
+        assert delta["runner.tasks.started"] == 0
+        assert delta["runner.workers.started"] == 0
+        assert delta["arena.genomes.reused"] == spec.population
+        assert holes == []
+        assert reused == spec.population
+        assert evaluations == {index: carried[fingerprint(genome)]
+                               for index, genome in enumerate(population)}
+
+    def test_a_worker_kill_aimed_at_a_carried_elite_still_crashes(
+            self, tmp_path):
+        spec = ArenaSpec(**SPEC)
+        chaos = ArenaChaos([ArenaFault(GENOME_KILL_FAULT, generation=2,
+                                       genome=0)])
+        result = run_arena(spec, str(tmp_path / "race"), processes=2,
+                           retries=0, chaos=chaos)
+        assert result.exit_code == 1
+        assert result.holes_by_kind() == {CRASH: 1}
+        hole, = result.holes
+        assert hole["generation"] == 2
+        # genome 0 of generation 2 is generation 1's first survivor
+        elite = result.trajectory[1]["survivors"][0]
+        assert hole["key"] == f"g2:0:{elite}"
+        assert result.trajectory[-1]["evaluated"] == spec.population - 1
 
 
 class TestFatal:
