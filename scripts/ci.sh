@@ -14,12 +14,13 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export REPRO_TEST_TIMEOUT="${REPRO_TEST_TIMEOUT:-180}"
 
-# static-analysis gate over the whole tree, one parse per file: the
-# per-file checks (determinism, atomic IO, one digest module, catalog
-# names, error contracts, Markdown links) and the whole-program checks
-# (determinism taint, fail-secure exception flow) — see
-# docs/static_analysis.md.  Any unsuppressed finding fails the run; the
-# JSON findings land next to the run for manifests/ops tooling.
+# static-analysis gate over the whole tree, one parse per file:
+# determinism, atomic IO, one digest module, catalog names, error
+# contracts (one handler in the fail-secure boundary) and Markdown
+# links — see docs/static_analysis.md.  Any unsuppressed finding fails
+# the run; the JSON findings land next to the run for manifests/ops
+# tooling.  Persisted-state determinism is the fast tier's double-run
+# oracle, tests/test_determinism_oracle.py.
 python -m repro.analysis --json-out .analysis-findings.json
 
 # fast bit-exactness smoke: optimized scheduler vs reference spec on a

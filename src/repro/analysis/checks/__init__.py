@@ -15,6 +15,4 @@ from repro.analysis.checks import (  # noqa: F401  (registration)
     digest,
     docs,
     errors,
-    failsecure,
-    taint,
 )

@@ -12,11 +12,11 @@ counters, features, and model state: ``sim/``, ``ml/``, ``core/``,
 input — ``attacks/`` and ``arena/`` (every fuzzer/evasion draw must come
 from an explicitly seeded ``random.Random``).
 
-:func:`nondeterminism_sources` is the single classifier: the three
-per-file checks below report its findings inside the deterministic
-scope, and the whole-program ``determinism-taint`` check
-(:mod:`~repro.analysis.checks.taint`) follows every source it finds,
-anywhere, through the call graph.
+:func:`nondeterminism_sources` is the single classifier the three
+checks below report from.  What these layers persist is checked
+directly instead: ``tests/test_determinism_oracle.py`` runs every
+persisting CLI flow twice under perturbed conditions and diffs every
+byte it writes (``docs/static_analysis.md``, "Determinism oracle").
 
 ``time.perf_counter``/``time.monotonic`` stay legal: they feed obs
 timers only, never counters or features.
@@ -47,8 +47,7 @@ _PY_RANDOM = {"random", "randint", "randrange", "choice", "choices",
 
 def _call_source(name, call):
     """``(check, description)`` when a call to the dotted ``name`` is a
-    nondeterminism source, else None.  ``check`` is None for the
-    sources only the taint check follows."""
+    nondeterminism source, else None."""
     parts = name.split(".")
     if name in _WALL_CLOCK or (parts[-1] in _DATETIME_FNS and (
             "datetime" in parts[:-1] or "date" in parts[:-1])):
@@ -67,10 +66,6 @@ def _call_source(name, call):
                 else None
         if parts[1] in _PY_RANDOM:
             return "unseeded-rng", f"global stdlib RNG `{name}(...)`"
-    if name == "os.getenv":
-        return None, "environment read `os.getenv(...)`"
-    if name == "id" and len(call.args) == 1:
-        return None, "address-derived value `id(...)`"
     return None
 
 
@@ -83,32 +78,22 @@ def _iterables(node):
     return []
 
 
-def nondeterminism_sources(nodes, expand=None):
+def nondeterminism_sources(nodes):
     """Yield ``(check, description, node, data)`` for every
-    nondeterminism source among ``nodes`` (a file's or a function's
-    walked AST).
+    nondeterminism source among ``nodes`` (a file's walked AST), names
+    read as written.
 
-    ``check`` names the per-file check that bans the source in
-    deterministic code (``forbidden-clock``, ``unseeded-rng``,
-    ``set-iteration``), or is None for the sources only the taint check
-    follows (``os.environ``, ``os.getenv``, ``id()``).  ``expand``
-    rewrites a dotted name through its module's imports; the per-file
-    checks read names as written.
+    ``check`` names the check that bans the source in deterministic
+    code: ``forbidden-clock``, ``unseeded-rng`` or ``set-iteration``.
     """
-    expand = expand or (lambda name: name)
     for sub in nodes:
         if isinstance(sub, ast.Call):
-            dotted = dotted_name(sub.func)
-            if dotted is None:
+            name = dotted_name(sub.func)
+            if name is None:
                 continue
-            name = expand(dotted)
             found = _call_source(name, sub)
             if found is not None:
                 yield found[0], found[1], sub, {"call": name}
-        elif isinstance(sub, ast.Attribute):
-            if dotted_name(sub) is not None and \
-                    expand(dotted_name(sub)) == "os.environ":
-                yield None, "environment read `os.environ`", sub, None
         else:
             for it in _iterables(sub):
                 if isinstance(it, (ast.Set, ast.SetComp)) or (

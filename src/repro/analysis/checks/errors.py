@@ -1,4 +1,4 @@
-"""Error-contract rule.
+"""Error-contract rules.
 
 The pipeline's failure taxonomy (crash / timeout / divergent, guard
 trips, fail-secure latches) only works because errors surface as typed
@@ -6,8 +6,14 @@ exceptions at the layer that can classify them.  A broad ``except
 Exception`` that swallows — no re-raise, no typed conversion — hides
 faults from that machinery.  The two places broad catches are
 legitimate (the worker-isolation boundary in ``runtime/runner.py``, the
-fail-secure watchdog latch in ``defenses/controller.py``) carry
-documented ``# repro-lint: disable=broad-except`` suppressions.
+fail-secure boundary's one handler,
+:func:`~repro.defenses.controller.contain`) carry documented
+``# repro-lint: disable=broad-except`` suppressions.
+
+Inside the fail-secure boundary a detector fault must latch mitigation
+on, never off, so no handler there is trusted but ``contain``'s: it
+hands the fault back as a value the controller latches on, and
+``fail-secure-handler`` flags every other ``except`` there.
 """
 
 import ast
@@ -16,6 +22,11 @@ from repro.analysis.engine import Check, register
 from repro.analysis.source import dotted_name
 
 _BROAD = {"Exception", "BaseException"}
+
+#: the code whose faults must turn mitigation on: the controllers, the
+#: serving path that feeds them, and the arena's promotion gate
+FAIL_SECURE_BOUNDARY = ("src/repro/defenses/", "src/repro/serve/service.py",
+                        "src/repro/arena/gate.py")
 
 
 def _broad_name(handler):
@@ -60,3 +71,25 @@ class BroadExcept(Check):
                 f"specific type, or add `# repro-lint: "
                 f"disable=broad-except` with a justification",
                 data={"caught": caught})
+
+
+@register
+class FailSecureHandler(Check):
+    """No ``except`` handler in the fail-secure boundary but
+    ``contain``'s: a fault is handed to the controller as a value,
+    which latches always-secure on it, so no handler there can swallow
+    one or turn mitigation off."""
+
+    name = "fail-secure-handler"
+    description = ("except handler in the fail-secure boundary; route the "
+                   "call through repro.defenses.controller.contain")
+    include = FAIL_SECURE_BOUNDARY
+
+    def check(self, source):
+        for node in source.nodes:
+            if isinstance(node, ast.ExceptHandler):
+                yield self.finding_at(
+                    source, node,
+                    "`except` handler in the fail-secure boundary; call "
+                    "through `contain` and hand its fault to the "
+                    "controller, which latches on it")

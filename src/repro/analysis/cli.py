@@ -13,7 +13,7 @@ Exit-code contract (relied on by ``scripts/ci.sh``):
 * ``1`` — at least one finding (each printed as ``path:line:col``);
 * ``2`` — usage error (unknown check, nonexistent path, bad flags).
 
-``--json-out`` also writes the ``repro-analysis/1`` payload
+``--json-out`` also writes the ``repro-analysis/2`` payload
 (atomically, via :mod:`repro.runtime.atomic`), so CI can show text to
 humans and hand JSON to manifests and ops tooling in one run.
 """
@@ -25,7 +25,7 @@ import time
 
 from repro.analysis.engine import AnalysisUsageError, resolve_checks, run
 
-JSON_SCHEMA = "repro-analysis/1"
+JSON_SCHEMA = "repro-analysis/2"
 
 
 def _csv(value):
@@ -35,8 +35,8 @@ def _csv(value):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="static-analysis gate: per-file and whole-program "
-                    "contract checks over one parse of the tree "
+        description="static-analysis gate: per-file contract checks "
+                    "over one parse of the tree "
                     "(see docs/static_analysis.md)")
     parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="files or directories to analyse "
@@ -68,8 +68,7 @@ def render_text(result, elapsed):
         else "clean"
     lines.append(
         f"repro-analysis: {status} — {sum(result.files.values())} files "
-        f"({by_kind}), {result.modules} modules / {result.functions} "
-        f"functions, {len(result.checks)} checks, {result.suppressed} "
+        f"({by_kind}), {len(result.checks)} checks, {result.suppressed} "
         f"suppressed, {elapsed:.2f}s")
     return "\n".join(lines)
 
@@ -83,8 +82,6 @@ def render_json(result):
                     "description": check.description}
                    for check in result.checks],
         "files": dict(result.files),
-        "index": {"modules": result.modules,
-                  "functions": result.functions},
         "summary": {"findings": len(result.findings),
                     "suppressed": result.suppressed},
         "findings": [f.to_dict() for f in result.findings],

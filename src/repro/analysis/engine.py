@@ -1,20 +1,15 @@
 """The analysis engine: one check registry, one walk, one report.
 
-Every contract is a :class:`Check` registered here.  A check is either
-*per-file* (``kind`` ``"python"`` or ``"markdown"``: it sees one
-:class:`~repro.analysis.source.SourceFile` at a time) or
-*whole-program* (``kind`` ``"program"``: it sees the
-:class:`~repro.analysis.index.ProjectIndex` plus a
-:class:`~repro.analysis.config.FlowConfig`).  Both kinds are scoped the
-same way, by engine-root-relative ``include``/``exclude`` path
-prefixes such as ``src/repro/sim/``.
+Every contract is a :class:`Check` registered here.  A check reads
+one file at a time (``kind`` ``"python"`` or ``"markdown"``: it sees one
+:class:`~repro.analysis.source.SourceFile`) and is scoped by
+engine-root-relative ``include``/``exclude`` path prefixes such as
+``src/repro/sim/``.
 
 :func:`run` walks the given paths once.  Each discovered file some
 check's scope covers is read once and, if Python, parsed once: a syntax
 error becomes one ``parse-error`` finding and the file goes to no
-check.  The per-file checks run as the walk goes; the Python files
-inside some whole-program check's scope become the index those checks
-share.  One suppression pass then drops every finding silenced by an
+check.  One suppression pass then drops every finding silenced by an
 inline ``# repro-lint: disable=<check>`` directive, and the rest come
 back sorted.
 
@@ -27,8 +22,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.config import DEFAULT_CONFIG
-from repro.analysis.index import ProjectIndex
 from repro.analysis.source import SourceFile
 
 #: directories never descended into during discovery
@@ -36,7 +29,7 @@ SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules",
              ".venv", "venv", ".eggs", ".hypothesis", ".mypy_cache",
              ".ruff_cache"}
 
-#: file suffix -> the per-file check kind that reads it
+#: file suffix -> the check kind that reads it
 KINDS = {".py": "python", ".md": "markdown"}
 
 #: engine-level finding for an unparseable Python file
@@ -54,8 +47,7 @@ class Finding:
     ``path`` is relative to the engine root with POSIX separators, so
     findings serialize identically wherever the engine ran.  ``data``
     carries machine-readable fields (the offending name, the broken link
-    target, the source-to-sink chain) so tooling never parses
-    ``message``.
+    target) so tooling never parses ``message``.
     """
 
     rule: str
@@ -100,21 +92,18 @@ def register(cls):
 class Check:
     """One statically checkable contract.
 
-    Subclasses set the class attributes and implement ``check``: a
-    per-file check's ``check(source)`` yields findings for one
-    :class:`~repro.analysis.source.SourceFile`; a whole-program check's
-    ``check(index, config)`` returns the findings over the whole
-    :class:`~repro.analysis.index.ProjectIndex`.
+    Subclasses set the class attributes and implement ``check(source)``,
+    which yields the findings for one
+    :class:`~repro.analysis.source.SourceFile`.
 
     A check applies to a file under some ``include`` prefix (or
     anywhere, when ``include`` is empty) and under no ``exclude``
-    prefix.  For a whole-program check the scope picks the modules that
-    feed the index.
+    prefix.
     """
 
     name = None
     description = ""          # one line, shown by --list and in the JSON
-    kind = "python"           # "python" | "markdown" | "program"
+    kind = "python"           # "python" | "markdown"
     include = ()
     exclude = ()
 
@@ -124,20 +113,19 @@ class Check:
             return False
         return not self.include or under(relpath, self.include)
 
-    def check(self, *target):
+    def check(self, source):
         raise NotImplementedError
 
     # -- helpers for subclasses --------------------------------------------
 
-    def finding(self, where, line, col, message, data=None):
-        """A finding in the file ``where`` (anything with a
-        ``relpath``: a source file, module or function)."""
-        return Finding(rule=self.name, path=where.relpath, line=line,
+    def finding(self, source, line, col, message, data=None):
+        """A finding in ``source`` at ``line``/``col``."""
+        return Finding(rule=self.name, path=source.relpath, line=line,
                        col=col, message=message, data=data)
 
-    def finding_at(self, where, node, message, data=None):
+    def finding_at(self, source, node, message, data=None):
         """A finding anchored at an AST node (1-based column)."""
-        return self.finding(where, node.lineno, node.col_offset + 1,
+        return self.finding(source, node.lineno, node.col_offset + 1,
                             message, data=data)
 
 
@@ -226,24 +214,19 @@ class Result:
     findings: list              # sorted, suppressed ones removed
     suppressed: int
     files: dict                 # kind -> files some check read
-    modules: int                # modules in the whole-program index
-    functions: int              # functions in its call graph
     checks: list                # the Check instances that ran
 
 
-def run(paths=None, root=None, select=None, ignore=None, config=None):
+def run(paths=None, root=None, select=None, ignore=None):
     """Run the selected checks over ``paths`` (default: the root)."""
     root = Path(root or os.getcwd()).resolve()
     checks = resolve_checks(select=select, ignore=ignore)
-    program = [c for c in checks if c.kind == "program"]
-    findings, sources, indexed, files = [], {}, {}, {}
+    findings, sources, files = [], {}, {}
     for path, kind in discover(paths or [root]):
         relpath = os.path.relpath(path, root).replace(os.sep, "/")
         active = [c for c in checks
                   if c.kind == kind and c.applies_to(relpath)]
-        to_index = kind == "python" and any(c.applies_to(relpath)
-                                            for c in program)
-        if not active and not to_index:
+        if not active:
             continue
         source = sources[relpath] = SourceFile(path, relpath)
         files[kind] = files.get(kind, 0) + 1
@@ -258,11 +241,6 @@ def run(paths=None, root=None, select=None, ignore=None, config=None):
                 continue
         for check in active:
             findings.extend(check.check(source))
-        if to_index:
-            indexed[relpath] = source
-    index = ProjectIndex.build(indexed)
-    for check in program:
-        findings.extend(check.check(index, config or DEFAULT_CONFIG))
     tables = {path: suppressions(sources[path].lines)
               for path in {f.path for f in findings}}
     kept = [f for f in findings
@@ -270,5 +248,4 @@ def run(paths=None, root=None, select=None, ignore=None, config=None):
     kept.sort(key=Finding.sort_key)
     return Result(root=root, findings=kept,
                   suppressed=len(findings) - len(kept), files=files,
-                  modules=len(index.modules),
-                  functions=len(index.functions), checks=checks)
+                  checks=checks)

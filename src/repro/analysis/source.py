@@ -1,9 +1,7 @@
 """Source files and AST name helpers for the analysis engine.
 
 The engine reads every discovered file once into a :class:`SourceFile`
-and parses a Python file at most once, however many checks consume it:
-the per-file checks and the whole-program
-:class:`~repro.analysis.index.ProjectIndex` share the same tree.
+and parses a Python file at most once, however many checks consume it.
 """
 
 import ast

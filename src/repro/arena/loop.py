@@ -373,9 +373,22 @@ def run_arena(spec, directory, *, processes=None, retries=1,
               population=spec.population, resume=bool(resume),
               spec_fingerprint=spec.fingerprint[:12])
 
-    train_ds = build_corpus(spec, spec.train_seeds)
-    eval_ds = eval_corpus if eval_corpus is not None \
-        else build_corpus(spec, spec.eval_seeds)
+    # the latest valid generation checkpoint a resume restores from
+    claimed, valid, restore_gen = {}, set(), None
+    if resume:
+        claimed = {g: f"gen-{g}" for g in range(spec.generations + 1)
+                   if store.has(f"gen-{g}")}
+        valid = set(store.valid_keys())
+        restore_gen = max((g for g in claimed if claimed[g] in valid),
+                          default=None)
+
+    # generation 0 and every generation left to run read both corpora; a
+    # finished race resumed builds neither
+    train_ds, eval_ds = None, eval_corpus
+    if restore_gen != spec.generations:
+        train_ds = build_corpus(spec, spec.train_seeds)
+        if eval_ds is None:
+            eval_ds = build_corpus(spec, spec.eval_seeds)
 
     rng = np.random.default_rng(spec.seed)
     trajectory, holes = [], []
@@ -384,11 +397,6 @@ def run_arena(spec, directory, *, processes=None, retries=1,
 
     # -- resume: restore the latest valid generation checkpoint ---------------
     if resume:
-        claimed = {g: f"gen-{g}" for g in range(spec.generations + 1)
-                   if store.has(f"gen-{g}")}
-        valid = set(store.valid_keys())
-        restore_gen = max((g for g in claimed if claimed[g] in valid),
-                          default=None)
         for g in sorted(claimed):
             if claimed[g] in valid:
                 continue
@@ -445,9 +453,12 @@ def run_arena(spec, directory, *, processes=None, retries=1,
         _checkpoint(store, 0, population, incumbent, rng, trajectory,
                     holes, chaos)
     else:
-        verify_corpus_compatible(incumbent, eval_ds,
-                                 detector_origin="arena incumbent",
-                                 corpus_origin="held-out corpus")
+        # the restored incumbent's schema is checked against the live
+        # layout even when no held-out corpus was needed
+        verify_corpus_compatible(
+            incumbent, eval_ds if eval_ds is not None else Dataset(),
+            detector_origin="arena incumbent",
+            corpus_origin="held-out corpus")
     ledger.flush(trajectory, holes)
 
     # -- the arms race ---------------------------------------------------------

@@ -162,13 +162,15 @@ def _cmd_train(args):
         ((args.out or args.corpus) + ".train-ckpt")
     checkpointer = None
     if args.checkpoint_every > 0:
-        # context pins what determines the training trajectory (corpus,
-        # seed) — not the iteration target, so a finished run can be
-        # legally resumed with a higher --iterations to train further
+        # context pins what determines the training trajectory (the
+        # corpus's content, not its path, and the seed) — not the
+        # iteration target, so a finished run can be legally resumed
+        # with a higher --iterations to train further
         try:
             checkpointer = TrainingCheckpointer(
                 ckpt_dir,
-                context={"corpus": args.corpus, "seed": args.seed},
+                context={"corpus_sha256": dataset.content_sha256,
+                         "seed": args.seed},
                 interval=args.checkpoint_every, resume=args.resume)
         except CheckpointError as exc:
             _die2(f"error: cannot use training checkpoints in "

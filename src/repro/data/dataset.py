@@ -42,6 +42,10 @@ class Dataset:
     #: (set by ``load_dataset`` when the sidecar carries it; ``None``
     #: for in-process datasets and legacy corpora)
     counters_sha256: str = None
+    #: digest of the sealed sidecar the corpus was loaded from, which
+    #: covers the matrix's digest and every record: what the corpus is,
+    #: wherever its files lie (set by ``load_dataset``)
+    content_sha256: str = field(default=None, init=False)
 
     def __len__(self):
         return len(self.records)

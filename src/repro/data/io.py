@@ -25,7 +25,7 @@ import numpy as np
 from repro.data.dataset import Dataset, SampleRecord
 from repro.runtime.atomic import atomic_write_bytes
 from repro.runtime.digest import (
-    CHECKSUM, SCHEMA, SealedFileError, read_sealed, sha256_bytes,
+    CHECKSUM, SCHEMA, SealedFileError, open_sealed, sha256_bytes,
     write_sealed,
 )
 
@@ -119,7 +119,7 @@ def load_dataset(path):
     truncated, mismatched or checksum-failing input.
     """
     npz_path, meta_path = _npz_path(path), _meta_path(path)
-    meta = _read_meta(meta_path)
+    meta, digest = _read_meta(meta_path)
     deltas = _read_matrix(npz_path, meta)
     try:
         records = meta["records"]
@@ -133,6 +133,7 @@ def load_dataset(path):
             f"({len(records)} vs {len(deltas)})")
     dataset = Dataset(sample_period=sample_period)
     dataset.counters_sha256 = meta.get("counters_sha256")
+    dataset.content_sha256 = digest
     try:
         for row, rec in zip(deltas, records):
             dataset.records.append(record_from_dict(rec, deltas=row.tolist()))
@@ -143,8 +144,9 @@ def load_dataset(path):
 
 
 def _read_meta(meta_path):
+    """The verified sidecar and its digest."""
     try:
-        meta = read_sealed(meta_path, META_SCHEMA)
+        meta, digest = open_sealed(meta_path, META_SCHEMA)
     except FileNotFoundError:
         raise DatasetMissingError(
             f"metadata sidecar not found: {meta_path}") from None
@@ -156,7 +158,7 @@ def _read_meta(meta_path):
     if not isinstance(meta, dict):
         raise DatasetSchemaError(
             f"metadata sidecar {meta_path} is not a JSON object")
-    return meta
+    return meta, digest
 
 
 def _read_matrix(npz_path, meta):

@@ -17,6 +17,10 @@ finite.  Any violation **latches the core into always-secure mode**
 (policy-configurable via ``fail_secure``), records the event, and keeps
 the mitigation on for the remainder of the run — the defense fails
 *secure*, never silent.
+
+Every detector call on that path goes through :func:`contain`, the
+fail-secure boundary's only ``except``: it returns the fault as a
+value, and :meth:`SecureModeController.decide` latches on it.
 """
 
 import math
@@ -35,6 +39,23 @@ _SECURE_ENTRIES = _REG.counter("adaptive.secure.entries")
 _SECURE_EXITS = _REG.counter("adaptive.secure.exits")
 _DETECTOR_ERRORS = _REG.counter("adaptive.detector.errors")
 _LATCHES = _REG.counter("adaptive.fail_secure.latches")
+
+
+def contain(fn, *args):
+    """``(fn(*args), None)``, or ``(None, fault)`` when the call raises.
+
+    The one ``except`` in the fail-secure boundary (the
+    ``fail-secure-handler`` check flags any other there): callers hand
+    ``fault`` to :meth:`SecureModeController.decide`, which latches the
+    controller into always-secure mode on it.
+    """
+    try:
+        return fn(*args), None
+    # ANY detector fault, not a foreseen subset, must reach the latch
+    # (docs/training_resilience.md, "Fail-secure inference")
+    # repro-lint: disable=broad-except,fail-secure-handler -- the one handler
+    except Exception as exc:
+        return None, exc
 
 
 class SecureModeController:
@@ -116,24 +137,24 @@ class SecureModeController:
 
     # -- the window state machine -------------------------------------------
 
+    def _verdict(self, sample):
+        """Validate the window, consult ``detector_fn`` and check its
+        score: every health violation raises."""
+        self._validate_sample(sample)
+        verdict = self.detector_fn(sample)
+        if isinstance(verdict, float) and not math.isfinite(verdict):
+            raise ValueError(f"non-finite detector score {verdict!r}")
+        return verdict
+
     def __call__(self, machine, sample):
-        """``detector_hook`` entry: validate the window, consult
-        ``detector_fn``, then :meth:`decide`.  A latched controller
-        never consults the detector again."""
+        """``detector_hook`` entry: the window's verdict through
+        :func:`contain`, then :meth:`decide`, which latches on a fault.
+        A latched controller never consults the detector again."""
         if self.latched:
             return self.decide(machine, sample.commit_index, False)
-        try:
-            self._validate_sample(sample)
-            verdict = self.detector_fn(sample)
-            if isinstance(verdict, float) and not math.isfinite(verdict):
-                raise ValueError(f"non-finite detector score {verdict!r}")
-        # the documented fail-secure latch path: ANY detector fault —
-        # not a foreseen subset — must flip the machine into permanent
-        # secure mode (docs/training_resilience.md, "fail-secure");
-        # decide() latches on the fault it is handed
-        except Exception as exc:  # repro-lint: disable=broad-except
-            return self.decide(machine, sample.commit_index, False, exc)
-        return self.decide(machine, sample.commit_index, bool(verdict))
+        verdict, fault = contain(self._verdict, sample)
+        return self.decide(machine, sample.commit_index, bool(verdict),
+                           fault)
 
     def decide(self, machine, commit_index, flagged, fault=None):
         """Advance one window on a verdict already computed elsewhere.

@@ -16,9 +16,10 @@ other module under ``src/repro`` imports ``hashlib`` (the static gate's
   ``{"schema", "sha256", "payload"}``, the digest taken over
   ``canonical(payload)``, written through
   :func:`~repro.runtime.atomic.atomic_write_bytes`.  A read returns the
-  payload or raises :class:`SealedFileError` whose ``reason`` is
-  ``unreadable``, ``unparseable``, ``schema`` or ``checksum``; a missing
-  file raises ``FileNotFoundError``, because absence is not corruption.
+  payload (:func:`open_sealed`: the payload and its verified digest) or
+  raises :class:`SealedFileError` whose ``reason`` is ``unreadable``,
+  ``unparseable``, ``schema`` or ``checksum``; a missing file raises
+  ``FileNotFoundError``, because absence is not corruption.
 * :func:`quarantine` — move a file that failed verification aside,
   preserved for forensics and out of every lookup.
 """
@@ -123,6 +124,13 @@ def read_sealed(path, schema):
     Raises ``FileNotFoundError`` when there is no file and
     :class:`SealedFileError` when there is one that cannot be trusted.
     """
+    return open_sealed(path, schema)[0]
+
+
+def open_sealed(path, schema):
+    """``(payload, digest)`` of the sealed file at ``path``: the digest
+    the payload was just verified against, i.e. the content address of
+    the file's payload.  Raises as :func:`read_sealed` does."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -146,12 +154,13 @@ def read_sealed(path, schema):
             f"a file written before the {schema!r} format must be "
             f"regenerated", SCHEMA)
     payload = sealed.get("payload")
-    if fingerprint(payload) != sealed.get("sha256"):
+    digest = fingerprint(payload)
+    if digest != sealed.get("sha256"):
         raise SealedFileError(
             f"checksum mismatch for {path}: the payload does not match "
             f"its embedded digest (torn write, bit rot or tampering)",
             CHECKSUM)
-    return payload
+    return payload, digest
 
 
 def quarantine(path, reason):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.defenses.controller import contain
 from repro.defenses.fanout import ControllerFanout
 from repro.obs import metrics, obs_event
 from repro.sim.config import DefenseMode
@@ -164,25 +165,25 @@ class DetectionService:
         to per-window scoring so the fault is attributed to the row that
         caused it (rows are bit-identical either way — the scoring
         pipeline is batch-size-invariant per row).  Returns the scores
-        and a ``{row: exception}`` dict of the rows that raised."""
-        faults = {}
-        try:
-            return self.detector.score_batch(X), faults
-        # the whole point of the fallback: ANY detector blow-up must be
-        # narrowed to its row, not fail the sibling windows in the batch
-        # (the inner per-row handler attributes every fault via
-        # faults[i] and callers latch on it; the flow pass can't see
-        # across the loop boundary, hence the fail-secure suppression)
-        # repro-lint: disable=broad-except,fail-secure-flow -- per-row fallback
-        except Exception:
-            scores = np.empty(len(X))
-            for i in range(len(X)):
-                try:
-                    scores[i] = self.detector.score_batch(X[i:i + 1])[0]
-                except Exception as exc:  # repro-lint: disable=broad-except
-                    scores[i] = float("nan")
-                    faults[i] = exc
-            return scores, faults
+        and a ``{row: exception}`` dict of the rows that raised.  Both
+        calls go through :func:`~repro.defenses.controller.contain`, so
+        every fault reaches its tenant's controller as a value."""
+        scores, fault = contain(self.detector.score_batch, X)
+        if fault is None:
+            return scores, {}
+
+        def score_row(i):
+            return float(self.detector.score_batch(X[i:i + 1])[0])
+
+        scores, faults = np.empty(len(X)), {}
+        for i in range(len(X)):
+            score, fault = contain(score_row, i)
+            if fault is None:
+                scores[i] = score
+            else:
+                scores[i] = float("nan")
+                faults[i] = fault
+        return scores, faults
 
     @staticmethod
     def _window_faults(X, scores, raised):

@@ -2,10 +2,10 @@
 command's scope and parse guarantees, ``--list``, and the repo's own
 gate.
 
-The mutation fixture seeds each violation class once — every per-file
-check, each whole-program check, a variable and an f-string catalog
-name, and a syntax error — and the engine must report exactly the
-pinned ``(check, path, line)`` set: nothing missed, nothing twice.
+The mutation fixture seeds each violation class once — every check, a
+variable and an f-string catalog name, and a syntax error — and the
+engine must report exactly the pinned ``(check, path, line)`` set:
+nothing missed, nothing twice.
 """
 
 import ast
@@ -17,7 +17,6 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.cli import main as analysis_main
-from repro.analysis.config import FlowConfig
 from repro.analysis.engine import run
 
 REPO = Path(__file__).resolve().parents[2]
@@ -110,28 +109,7 @@ MUTATIONS = {
             blob = json.dumps({"seeds": spec.seeds})
             return hashlib.sha256(blob.encode()).hexdigest()
     """,
-    # determinism-taint: a wall-clock read two calls from the sink
-    "src/repro/campaign/ledger.py": """\
-        import time
-
-        from repro.campaign import store
-
-
-        def record(path):
-            store.persist(path, time.time())
-    """,
-    "src/repro/campaign/store.py": """\
-        from repro.runtime.atomic import atomic_write_bytes
-
-
-        def persist(path, value):
-            _write(path, repr(value).encode())
-
-
-        def _write(path, payload):
-            atomic_write_bytes(path, payload)
-    """,
-    # fail-secure-flow: a handler in the boundary that swallows
+    # fail-secure-handler: a handler in the boundary that swallows
     "src/repro/defenses/fallback.py": """\
         def score(detector, window):
             try:
@@ -142,12 +120,6 @@ MUTATIONS = {
     "src/repro/sim/broken.py": "def broken(:\n",
 }
 
-MUTATION_CONFIG = FlowConfig(
-    taint_sink_names=frozenset({"atomic_write_bytes"}),
-    taint_barriers=("src/repro/obs/",),
-    failsecure_boundaries=("src/repro/defenses/",),
-)
-
 MUTATION_FINDINGS = {
     ("atomic-io", "src/repro/data/save.py", 2),
     ("broad-except", "src/repro/runtime/swallow.py", 4),
@@ -156,11 +128,10 @@ MUTATION_FINDINGS = {
     ("catalog-events", "src/repro/serve/events.py", 2),
     ("catalog-metrics", "src/repro/serve/metrics.py", 2),
     ("catalog-metrics", "src/repro/serve/metrics.py", 3),     # f-string
-    ("determinism-taint", "src/repro/campaign/ledger.py", 7),
     ("digest-module", "src/repro/campaign/spec.py", 1),
     ("docs-links", "docs/guide.md", 3),
     ("docs-links", "docs/guide.md", 4),
-    ("fail-secure-flow", "src/repro/defenses/fallback.py", 4),
+    ("fail-secure-handler", "src/repro/defenses/fallback.py", 4),
     ("forbidden-clock", "src/repro/sim/clock.py", 3),
     ("parse-error", "src/repro/sim/broken.py", 1),
     ("runner-fanout", "src/repro/campaign/fanout.py", 5),
@@ -171,14 +142,9 @@ MUTATION_FINDINGS = {
 
 def test_mutation_fixture_is_caught_exactly(tmp_path):
     write_tree(tmp_path, MUTATIONS)
-    result = run(root=tmp_path, config=MUTATION_CONFIG)
+    result = run(root=tmp_path)
     found = [(f.rule, f.path, f.line) for f in result.findings]
     assert sorted(found) == sorted(MUTATION_FINDINGS)   # each exactly once
-    chain = next(f for f in result.findings
-                 if f.rule == "determinism-taint").data["chain"]
-    assert chain == ["repro.campaign.ledger.record",
-                     "repro.campaign.store.persist",
-                     "repro.campaign.store._write"]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +152,8 @@ def test_mutation_fixture_is_caught_exactly(tmp_path):
 
 
 def test_cli_reports_one_parse_error_per_file(tmp_path):
-    """A broken file inside both a per-file and a whole-program check's
-    scope is still one finding."""
+    """A broken file inside the scope of several checks is still one
+    finding."""
     write_tree(tmp_path, {"src/repro/bad.py": "def broken(:\n"})
     proc = analysis_cli("src", "--root", ".", cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
@@ -198,7 +164,7 @@ def test_cli_reports_one_parse_error_per_file(tmp_path):
 
 def test_cli_analyses_only_the_given_paths(tmp_path):
     """Run from the repo with a fixture's paths and root, the command
-    indexes the fixture, not the working directory's ``src/repro``."""
+    reads the fixture, not the working directory's ``src/repro``."""
     write_tree(tmp_path, {"src/repro/ok.py": "def f():\n    return 1\n"})
     out = tmp_path / "findings.json"
     proc = analysis_cli(str(tmp_path / "src"), "--root", str(tmp_path),
@@ -207,13 +173,12 @@ def test_cli_analyses_only_the_given_paths(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["findings"] == []
     assert payload["files"] == {"python": 1}
-    assert payload["index"] == {"modules": 1, "functions": 1}
 
 
 def test_default_path_is_the_root_and_scopes_pick_the_files(tmp_path):
     """PATH defaults to the root; Markdown is checked everywhere, and
-    only the Python files some check's scope covers are read: the index
-    holds ``src/repro`` alone."""
+    only the Python files some check's scope covers are read:
+    ``src/repro`` alone."""
     write_tree(tmp_path, {
         "README.md": "[guide](docs/guide.md)\n",
         "docs/guide.md": "# Guide\n",
@@ -224,7 +189,6 @@ def test_default_path_is_the_root_and_scopes_pick_the_files(tmp_path):
     result = run(root=tmp_path)
     assert result.findings == []
     assert result.files == {"markdown": 2, "python": 1}
-    assert (result.modules, result.functions) == (1, 1)
 
 
 def test_each_file_is_parsed_once(tmp_path, monkeypatch):
@@ -241,7 +205,7 @@ def test_each_file_is_parsed_once(tmp_path, monkeypatch):
     result = run(root=tmp_path)
     assert sorted(parsed) == [str(tmp_path / "src/repro/sim/a.py"),
                               str(tmp_path / "src/repro/sim/b.py")]
-    assert result.modules == 2
+    assert result.files == {"markdown": 1, "python": 2}
 
 
 def test_list_names_every_check(capsys):
@@ -250,9 +214,9 @@ def test_list_names_every_check(capsys):
              if not line.startswith(" ")]
     assert names == [
         "atomic-io", "broad-except", "catalog-counters", "catalog-events",
-        "catalog-metrics", "determinism-taint", "digest-module",
-        "docs-links", "fail-secure-flow", "forbidden-clock",
-        "runner-fanout", "set-iteration", "unseeded-rng"]
+        "catalog-metrics", "digest-module", "docs-links",
+        "fail-secure-handler", "forbidden-clock", "runner-fanout",
+        "set-iteration", "unseeded-rng"]
 
 
 # ---------------------------------------------------------------------------

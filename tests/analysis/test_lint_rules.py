@@ -231,6 +231,79 @@ def test_broad_except_allows_reraise_and_typed(tmp_path):
     assert result.findings == []
 
 
+def test_fail_secure_handler_flags_every_boundary_handler(tmp_path):
+    """Inside the boundary even a re-raising or typed handler is
+    flagged: only ``contain`` may catch there."""
+    result = lint_tree(tmp_path, {
+        "src/repro/defenses/x.py": """\
+            def f(detector, window):
+                try:
+                    return detector(window)
+                except ValueError:
+                    return None
+        """,
+        "src/repro/serve/service.py": """\
+            def g(work):
+                try:
+                    work()
+                except (OSError, ValueError) as exc:
+                    raise RuntimeError("wrapped") from exc
+        """,
+        "src/repro/arena/gate.py": """\
+            def h(work):
+                try:
+                    work()
+                finally:
+                    pass
+                try:
+                    work()
+                except KeyError:
+                    raise
+        """,
+    }, select=["fail-secure-handler"])
+    assert [(f.path, f.line) for f in result.findings] == [
+        ("src/repro/arena/gate.py", 8),
+        ("src/repro/defenses/x.py", 4),
+        ("src/repro/serve/service.py", 4)]
+
+
+def test_fail_secure_handler_out_of_scope_is_free(tmp_path):
+    source = """\
+        def f(work):
+            try:
+                work()
+            except ValueError:
+                return None
+    """
+    result = lint_tree(tmp_path, {"src/repro/serve/queue.py": source,
+                                  "src/repro/arena/loop.py": source,
+                                  "src/repro/runtime/x.py": source},
+                       select=["fail-secure-handler"])
+    assert result.findings == []
+
+
+def test_fail_secure_handler_suppressed(tmp_path):
+    result = lint_tree(tmp_path, {"src/repro/defenses/x.py": """\
+        def contain(fn):
+            try:
+                return fn(), None
+            # repro-lint: disable=fail-secure-handler -- the one handler
+            except ValueError as exc:
+                return None, exc
+    """}, select=["fail-secure-handler"])
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
+def test_fail_secure_boundary_has_one_handler():
+    """The real boundary's only handler is ``contain``'s, and it is the
+    check's one suppression."""
+    result = run([REPO / "src" / "repro"], root=REPO,
+                 select=["fail-secure-handler"])
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
 # ---------------------------------------------------------------------------
 # catalog checks
 
@@ -584,8 +657,8 @@ def test_findings_are_sorted_and_deterministic(tmp_path):
 def test_json_reporter_schema(tmp_path):
     result = lint_tree(tmp_path, {"src/repro/sim/x.py": BAD_CLOCK + "\n"})
     payload = render_json(result)
-    assert payload["schema"] == JSON_SCHEMA == "repro-analysis/1"
-    assert set(payload) == {"schema", "root", "checks", "files", "index",
+    assert payload["schema"] == JSON_SCHEMA == "repro-analysis/2"
+    assert set(payload) == {"schema", "root", "checks", "files",
                             "summary", "findings"}
     assert payload["summary"] == {"findings": 1, "suppressed": 0}
     [finding] = payload["findings"]
@@ -600,7 +673,8 @@ def test_text_reporter_locations_and_summary(tmp_path):
     result = lint_tree(tmp_path, {"src/repro/sim/x.py": BAD_CLOCK + "\n"})
     text = render_text(result, elapsed=0.5)
     assert "src/repro/sim/x.py:2:9: forbidden-clock: " in text
-    assert "repro-analysis: 1 finding(s) — 1 files (1 python)" in text
+    assert "repro-analysis: 1 finding(s) — 1 files (1 python), " \
+        f"{len(result.checks)} checks, 0 suppressed, 0.50s" in text
     clean = lint_tree(tmp_path / "clean", {"src/repro/ml/ok.py": "x = 1\n"})
     assert "repro-analysis: clean" in render_text(clean, elapsed=0.5)
 

@@ -191,6 +191,35 @@ class TestResume:
         assert len(resumed.trajectory) == spec.generations + 1
         assert read(os.path.join(directory, "arena.md")) == before
 
+    def test_resume_of_a_finished_run_simulates_nothing(self, clean,
+                                                        tmp_path):
+        """A finished race has no generation left, so its resume builds
+        neither corpus: no simulation runs, and the exit code, report
+        and detector are the race's own."""
+        spec, clean_dir, reference = clean
+        directory = str(tmp_path / "race")
+        shutil.copytree(clean_dir, directory)
+        before = metrics().snapshot()["counters"].get("sim.runs", 0)
+        resumed = run_arena(spec, directory, processes=2, retries=1,
+                            resume=True)
+        assert metrics().snapshot()["counters"].get("sim.runs", 0) == before
+        assert resumed.exit_code == reference.exit_code
+        for name in ("arena.md", "detector.json"):
+            assert read(os.path.join(directory, name)) \
+                == read(os.path.join(clean_dir, name))
+
+    def test_resume_of_a_finished_run_still_checks_the_eval_corpus(
+            self, clean, tmp_path):
+        """A finished race's resume builds no corpus, but a held-out
+        corpus handed to it is still checked against the incumbent."""
+        spec, clean_dir, _ = clean
+        directory = str(tmp_path / "race")
+        shutil.copytree(clean_dir, directory)
+        stale = Dataset(records=[], sample_period=spec.sample_period,
+                        counters_sha256="0" * 64)
+        with pytest.raises(ModelSchemaError, match="counter"):
+            run_arena(spec, directory, resume=True, eval_corpus=stale)
+
     def test_resume_with_a_different_spec_is_fatal(self, clean):
         spec, directory, _ = clean
         other = ArenaSpec(**{**SPEC, "seed": SPEC["seed"] + 1})

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ def test_train_resume_refuses_previous_checkpoint_format(tmp_path, capsys,
     """A checkpoint in the per-array layout (optimizer moments stored per
     weight and bias array, no format in its context) is refused with one
     line and exit 2, not resumed into the flat-vector optimizer."""
-    from repro.data import save_dataset
+    from repro.data import load_dataset, save_dataset
     from repro.ml.resilience import TrainingCheckpointer
     from repro.runtime.checkpoint import CheckpointStore
     corpus = str(tmp_path / "corpus")
@@ -155,7 +157,8 @@ def test_train_resume_refuses_previous_checkpoint_format(tmp_path, capsys,
             "--checkpoint-every", "5", "--seed", "0", "--no-manifest"]
     assert main(args) == 0
     capsys.readouterr()
-    context = {"corpus": corpus, "seed": 0}
+    context = {"corpus_sha256": load_dataset(corpus).content_sha256,
+               "seed": 0}
     payload = TrainingCheckpointer(ck, context, resume=True).load("gan")
     for state in payload["networks"].values():
         arrays = [np.asarray(a) for layer in state["layers"]
@@ -166,6 +169,47 @@ def test_train_resume_refuses_previous_checkpoint_format(tmp_path, capsys,
     CheckpointStore(ck).open(context).put("gan", payload)
     args[args.index("--iterations") + 1] = "20"      # train on from 10
     _expect_exit2(args + ["--resume"], capsys, ck)
+
+
+def test_train_resume_refuses_a_different_corpus_at_the_same_path(
+        tmp_path, capsys, small_dataset):
+    """The checkpoints pin the corpus's content: another corpus saved
+    over the same path is refused with one line, not trained on."""
+    from repro.data import save_dataset
+    corpus = str(tmp_path / "corpus")
+    save_dataset(small_dataset, corpus)
+    ck = str(tmp_path / "ck")
+    args = ["train", corpus, "--iterations", "10", "--checkpoint-dir", ck,
+            "--checkpoint-every", "5", "--no-manifest"]
+    assert main(args) == 0
+    save_dataset(small_dataset.subset(lambda r: r.commit_index % 2 == 0),
+                 corpus)
+    capsys.readouterr()
+    _expect_exit2(args + ["--resume"], capsys, "different settings")
+
+
+def test_train_resume_follows_the_corpus_to_another_directory(
+        tmp_path, capsys, small_dataset):
+    """The same corpus copied elsewhere resumes its checkpoints and
+    trains the uninterrupted run's detector, byte for byte."""
+    from repro.data import save_dataset
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    save_dataset(small_dataset, str(here / "corpus"))
+    shutil.copytree(here, there)
+    ck, whole = str(tmp_path / "ck"), str(tmp_path / "whole.json")
+    resumed = str(tmp_path / "resumed.json")
+    common = ["--checkpoint-every", "5", "--no-manifest"]
+    assert main(["train", str(here / "corpus"), "--out", whole,
+                 "--iterations", "10", "--checkpoint-dir",
+                 str(tmp_path / "ck-whole"), *common]) == 0
+    assert main(["train", str(here / "corpus"), "--iterations", "5",
+                 "--checkpoint-dir", ck, *common]) == 0
+    assert main(["train", str(there / "corpus"), "--out", resumed,
+                 "--iterations", "10", "--checkpoint-dir", ck,
+                 "--resume", *common]) == 0
+    capsys.readouterr()
+    assert open(resumed, "rb").read() == open(whole, "rb").read()
 
 
 @pytest.mark.slow

@@ -1,6 +1,8 @@
 """Dataset persistence round-trips, atomicity and corruption handling."""
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -38,6 +40,34 @@ def test_roundtrip_features_identical(small_dataset, tmp_path):
     Xb = norm.transform(loaded.raw_matrix(schema))
     assert np.allclose(Xa, Xb)
     assert (ya == loaded.labels()).all()
+
+
+def test_content_digest_is_the_sealed_sidecars_digest(small_dataset,
+                                                      tmp_path):
+    path = str(tmp_path / "corpus")
+    save_dataset(small_dataset, path)
+    with open(tmp_path / "corpus.meta.json") as f:
+        sealed = json.load(f)
+    assert load_dataset(path).content_sha256 == sealed["sha256"]
+    assert small_dataset.content_sha256 is None     # never loaded
+
+
+def test_content_digest_follows_the_content_not_the_path(small_dataset,
+                                                         tmp_path):
+    """A copy elsewhere keeps the digest; one relabelled record over the
+    same matrix, saved at the same path, moves it."""
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    save_dataset(small_dataset, str(here / "corpus"))
+    shutil.copytree(here, there)
+    digest = load_dataset(str(here / "corpus")).content_sha256
+    assert load_dataset(str(there / "corpus")).content_sha256 == digest
+    relabelled = Dataset(sample_period=small_dataset.sample_period)
+    relabelled.records = list(small_dataset.records)
+    first = relabelled.records[0]
+    relabelled.records[0] = dataclasses.replace(first, label=1 - first.label)
+    save_dataset(relabelled, str(here / "corpus"))
+    assert load_dataset(str(here / "corpus")).content_sha256 != digest
 
 
 def test_corrupt_metadata_rejected(small_dataset, tmp_path):

@@ -18,8 +18,8 @@ from repro.campaign.orchestrator import run_cell
 from repro.campaign.spec import CampaignCell
 from repro.core.perceptron import HardwareDetector, evax_schema
 from repro.runtime.digest import (
-    SealedFileError, canonical, fingerprint, quarantine, read_sealed,
-    write_sealed,
+    SealedFileError, canonical, fingerprint, open_sealed, quarantine,
+    read_sealed, write_sealed,
 )
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,26 @@ def test_round_trip_and_layout(sealed):
     data = json.loads(raw)
     assert sorted(data) == ["payload", "schema", "sha256"]
     assert data["sha256"] == fingerprint(PAYLOAD)
+
+
+def test_open_sealed_returns_the_payload_and_the_digest_it_verified(sealed):
+    payload, digest = open_sealed(sealed, SCHEMA)
+    assert payload == PAYLOAD
+    assert digest == fingerprint(PAYLOAD) \
+        == json.loads(open(sealed, "rb").read())["sha256"]
+
+
+def test_open_sealed_refuses_what_read_sealed_refuses(sealed, tmp_path):
+    data = json.loads(open(sealed, "rb").read())
+    data["payload"]["flag"] = False
+    with open(sealed, "w") as f:
+        json.dump(data, f)
+    for read in (read_sealed, open_sealed):
+        with pytest.raises(SealedFileError) as exc:
+            read(sealed, SCHEMA)
+        assert exc.value.reason == "checksum"
+        with pytest.raises(FileNotFoundError):
+            read(str(tmp_path / "absent.json"), SCHEMA)
 
 
 def _expected_reason(raw):
