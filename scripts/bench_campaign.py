@@ -10,8 +10,8 @@ Runs a fixed evaluation matrix twice in a scratch directory —
 — prints the wall-clock for each, the speedup, and the warm run's
 cache-hit rate, and writes ``benchmarks/BENCH_campaign_cache.json``.
 The warm figure is the cost of *verifying* the whole matrix (one
-SHA-256-checked JSON read per cell, plus the incremental ledger
-rewrites); it bounds what an interrupted week-long sweep pays to get
+SHA-256-checked JSON read per cell, plus the ledger written at start
+and end); it bounds what an interrupted week-long sweep pays to get
 back to where it died.
 
 The hit-rate gate doubles as a regression check: a warm resume of an

@@ -243,7 +243,9 @@ def render_arena_report(spec, trajectory, holes):
 class _Ledger:
     """``arena.json`` + ``arena.md``, rewritten atomically after every
     generation so a SIGKILL at any instant leaves a consistent,
-    resumable prefix on disk."""
+    resumable prefix on disk.  The exit code is ``None`` while any
+    generation remains: an interrupted race's ledger does not read as a
+    finish."""
 
     def __init__(self, directory, spec, guard_policy, parent_run):
         self.directory = directory
@@ -263,6 +265,7 @@ class _Ledger:
         by_kind = {}
         for hole in holes:
             by_kind[hole["kind"]] = by_kind.get(hole["kind"], 0) + 1
+        generations = max((e["generation"] for e in trajectory), default=0)
         manifest = {
             "schema": ARENA_SCHEMA,
             "run_id": current_run_id(),
@@ -271,8 +274,7 @@ class _Ledger:
             "spec_fingerprint": self.spec.fingerprint,
             "guard_policy": self.guard_policy,
             "counts": {
-                "generations": max((e["generation"] for e in trajectory),
-                                   default=0),
+                "generations": generations,
                 "evaluated": sum(e.get("evaluated", 0) for e in trajectory),
                 "leaked": sum(e.get("leaked", 0) for e in trajectory),
                 "promotions": sum(1 for e in trajectory
@@ -284,7 +286,8 @@ class _Ledger:
             "trajectory": trajectory,
             "holes": holes,
             "elapsed_s": round(elapsed, 3),
-            "exit_code": 1 if holes else 0,
+            "exit_code": (None if generations < self.spec.generations
+                          else 1 if holes else 0),
         }
         atomic_write_bytes(self.manifest_path,
                            json.dumps(manifest, indent=1).encode("utf-8"))

@@ -14,8 +14,9 @@ parallel, crash-resumable pipeline:
 * :mod:`~repro.campaign.orchestrator` — :func:`run_campaign` fans
   cells out over isolated :class:`repro.runtime.TaskRunner` workers,
   degrades failures into explicit holes (crash / timeout / divergent /
-  ``cache_corrupt``), rewrites the aggregate + campaign manifest
-  atomically after every cell, and resumes bit-identically;
+  ``cache_corrupt``), writes the aggregate + campaign manifest
+  atomically when the run starts and when it ends, and resumes
+  bit-identically from the cache;
 * :mod:`~repro.campaign.smoke` — the CI-run chaos proof of all of the
   above (``repro campaign --smoke``).
 

@@ -14,9 +14,12 @@ a pure function of its payload and attempt:
   :class:`~repro.campaign.cache.CellCache` and **verified by
   read-back** before it counts — a write the disk mangled becomes a
   quarantined ``cache_corrupt`` hole, not a silently wrong aggregate;
-* the aggregate table and the campaign manifest are rewritten
-  atomically after *every* cell resolution, so a SIGKILL at any instant
-  leaves a consistent, resumable prefix on disk;
+* the aggregate table and the campaign manifest (the *ledger*) are
+  written atomically before the fan-out and after it, not per cell:
+  the verified cache is the per-cell record, so a SIGKILL at any
+  instant leaves the start ledger (with the spec fingerprint the
+  resume guard reads) plus every verified entry, all ``resume=True``
+  needs;
 * ``resume=True`` replays verified cache entries (corrupt ones are
   quarantined and re-executed — self-healing) and re-runs only the
   rest; a fully-resolved resumed run produces a **byte-identical
@@ -253,9 +256,12 @@ def render_aggregate(spec, statuses):
 
 def build_campaign_manifest(spec, statuses, run_id=None,
                             parent_run=None, elapsed=0.0):
-    """The campaign's durable ledger (written atomically after every
-    cell resolution): spec + per-cell provenance + counts + exit code."""
+    """The campaign's durable ledger (written atomically when the run
+    starts and when it ends): spec + per-cell provenance + counts + exit
+    code.  The exit code is ``None`` while any cell is pending: a killed
+    run's ledger does not read as a finish."""
     holes = [s for s in statuses if s.state == HOLE]
+    pending = sum(1 for s in statuses if s.state == PENDING)
     hits = sum(1 for s in statuses if s.cache_hit)
     by_kind = {}
     for status in holes:
@@ -269,13 +275,13 @@ def build_campaign_manifest(spec, statuses, run_id=None,
         "counts": {
             "total": len(statuses),
             "completed": sum(1 for s in statuses if s.ok),
-            "pending": sum(1 for s in statuses if s.state == PENDING),
+            "pending": pending,
             "holes": len(holes),
             "holes_by_kind": by_kind,
             "cache_hits": hits,
         },
         "elapsed_s": round(elapsed, 3),
-        "exit_code": 1 if holes else 0,
+        "exit_code": None if pending else 1 if holes else 0,
         "cells": [
             {
                 "key": s.cell.key,
@@ -310,9 +316,10 @@ def read_campaign_manifest(path):
 # -- the orchestrator ---------------------------------------------------------
 
 class _Ledger:
-    """Incremental durable state: aggregate + manifest, rewritten
-    atomically on every change so any SIGKILL leaves a resumable,
-    consistent prefix."""
+    """Aggregate + manifest, written atomically before the fan-out and
+    after it.  Between the two the verified cache entries are the
+    durable record, so a SIGKILL leaves the start ledger and every
+    completed cell: a resumable state."""
 
     def __init__(self, directory, spec, statuses, parent_run):
         self.directory = directory
@@ -440,7 +447,6 @@ def run_campaign(spec, directory, *, processes=None, retries=1,
                           key=status.cell.key, kind=outcome.kind,
                           message=outcome.message)
             reg.observe("campaign.cell.seconds", outcome.elapsed)
-            ledger.flush()
             if progress is not None:
                 progress(status)
 

@@ -560,8 +560,10 @@ def build_parser():
         help="fault-isolated parallel evaluation-matrix run",
         description="Expand a {workload x attack x defense x "
                     "sampling-period} matrix, fan it out over isolated "
-                    "workers with a content-addressed result cache, and "
-                    "aggregate incrementally.  Exit 0 = clean, 1 = "
+                    "workers with a content-addressed result cache that "
+                    "records each cell as it resolves, and write the "
+                    "aggregate when the run starts and when it ends.  "
+                    "Exit 0 = clean, 1 = "
                     "completed with holes, 2 = fatal.  See "
                     "docs/campaigns.md.")
     p.add_argument("dir", nargs="?", default=None,

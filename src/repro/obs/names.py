@@ -44,6 +44,9 @@ CATALOG = {
             ("counter", "attempts rejected by the validator"),
         "runner.task.seconds": ("timer", "per-task wall clock (queue to "
                                          "resolution, across retries)"),
+        "runtime.atomic_write.seconds":
+            ("timer", "per durable write (atomic_write_bytes): count = "
+                      "writes, total and max = seconds"),
     },
     "data": {
         "data.build.seconds": ("timer", "resilient corpus build wall clock"),

@@ -14,10 +14,19 @@ write protocol also fsyncs the temp file *and* the parent directory on
 both sides of the rename — data first, then the directory entry that
 names it — which is the full crash-consistency recipe checkpoints and
 campaign caches rely on (exercised by ``tests/test_crash_consistency``).
+
+Every completed write is timed into the ``runtime.atomic_write.seconds``
+timer (count = writes, total and max = seconds).  On some filesystems
+replacing an existing file costs tens of milliseconds, because its old
+blocks are freed, while writing a new name costs microseconds; the timer
+is where that shows.
 """
 
 import os
 import tempfile
+import time
+
+from repro.obs import metrics
 
 
 def fsync_directory(directory):
@@ -48,6 +57,7 @@ def atomic_write_bytes(path, data, fsync=True):
     *and* after the rename, so the artifact survives power-loss-style
     kills, not just process death.
     """
+    started = time.perf_counter()
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory,
@@ -69,3 +79,5 @@ def atomic_write_bytes(path, data, fsync=True):
         except OSError:
             pass
         raise
+    metrics().observe("runtime.atomic_write.seconds",
+                      time.perf_counter() - started)

@@ -183,6 +183,19 @@ class TestResume:
         assert read(os.path.join(directory, "arena.md")) \
             == read(os.path.join(clean_dir, "arena.md"))
 
+    def test_an_interrupted_race_ledger_has_no_exit_code(self, tmp_path):
+        """A race killed before its last generation leaves a ledger
+        whose exit code is ``null``, not a clean 0."""
+        spec = one_gen_spec()
+        directory = str(tmp_path / "race")
+        chaos = ArenaChaos([ArenaFault(GEN_KILL_FAULT, generation=1)])
+        with pytest.raises(ChaosKill):
+            run_arena(spec, directory, processes=1, chaos=chaos)
+        partial = json.loads(read(os.path.join(directory, "arena.json")))
+        assert partial["counts"]["generations"] == 0
+        assert partial["holes"] == []
+        assert partial["exit_code"] is None
+
     def test_resume_of_a_finished_run_replays_nothing(self, clean):
         spec, directory, _ = clean
         before = read(os.path.join(directory, "arena.md"))

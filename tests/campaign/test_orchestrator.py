@@ -3,14 +3,16 @@ aggregates, exit-code contract."""
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.campaign import (
     CampaignError, CampaignResult, CampaignSpec, CellCache,
-    read_campaign_manifest, render_aggregate, run_campaign,
-    validate_cell_result,
+    build_campaign_manifest, read_campaign_manifest, render_aggregate,
+    run_campaign, validate_cell_result,
 )
+from repro.campaign import orchestrator
 from repro.campaign.orchestrator import (
     AGGREGATE_NAME, CACHE_DIR, HOLE, MANIFEST_NAME, OK, PENDING, CellStatus,
 )
@@ -202,6 +204,115 @@ def test_ledger_is_written_even_when_everything_holes(tmp_path):
     assert result.exit_code == 1 and result.completed == 0
     manifest = read_campaign_manifest(result.manifest_path)
     assert manifest["counts"]["holes"] == 3
+
+
+# -- the ledger is written when a run starts and when it ends -----------------
+
+def _count_ledger_writes(monkeypatch):
+    """Count the orchestrator's atomic writes per file name."""
+    writes = {}
+    real = orchestrator.atomic_write_bytes
+
+    def counting(path, data, *args, **kwargs):
+        name = os.path.basename(path)
+        writes[name] = writes.get(name, 0) + 1
+        return real(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "atomic_write_bytes", counting)
+    return writes
+
+
+@pytest.mark.parametrize("seeds", [(0, 1, 2), (0, 1, 2, 3, 4, 5)])
+def test_ledger_writes_do_not_grow_with_the_matrix(tmp_path, monkeypatch,
+                                                   seeds):
+    writes = _count_ledger_writes(monkeypatch)
+    result = run_campaign(_spec(seeds=seeds), str(tmp_path / "camp"),
+                          processes=1)
+    assert result.exit_code == 0 and result.completed == len(seeds)
+    assert writes == {AGGREGATE_NAME: 2, MANIFEST_NAME: 2}
+
+
+def test_an_all_holes_run_writes_the_ledger_twice(tmp_path, monkeypatch):
+    writes = _count_ledger_writes(monkeypatch)
+    chaos = CampaignChaos([CampaignFault(WORKER_KILL_FAULT, cell=i)
+                           for i in range(3)])
+    result = run_campaign(_spec(), str(tmp_path / "camp"), processes=2,
+                          retries=0, chaos=chaos)
+    assert result.exit_code == 1 and result.completed == 0
+    assert writes == {AGGREGATE_NAME: 2, MANIFEST_NAME: 2}
+    manifest = read_campaign_manifest(result.manifest_path)
+    assert manifest["counts"]["holes"] == 3 and manifest["exit_code"] == 1
+
+
+def test_a_ledger_with_a_pending_cell_has_no_exit_code():
+    spec = _spec()
+    statuses = [CellStatus(cell=c) for c in spec.expand()]
+    statuses[0].state = OK
+    statuses[1].state = HOLE
+    statuses[1].kind = "crash"
+    assert statuses[2].state == PENDING
+    assert build_campaign_manifest(spec, statuses)["exit_code"] is None
+    statuses[2].state = OK
+    assert build_campaign_manifest(spec, statuses)["exit_code"] == 1
+
+
+#: dies in the parent after three of six cells, as SIGKILL would: the
+#: progress hook runs after a cell is cached and verified, while the one
+#: worker waits for its next task
+PARENT_DIES_AFTER_THREE = """
+    import json, multiprocessing, os
+    from repro.campaign import CampaignSpec, run_campaign
+
+    resolved = []
+    def die_after_three(status):
+        resolved.append(status.cell.key)
+        if len(resolved) == 3:
+            pids = [p.pid for p in multiprocessing.active_children()]
+            print(json.dumps(pids), flush=True)
+            os._exit(9)
+
+    run_campaign(CampaignSpec(**{spec!r}), {directory!r}, processes=1,
+                 progress=die_after_three)
+"""
+
+
+def _is_gone(pid):
+    """Whether ``pid`` has exited (a zombie waiting to be reaped counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def test_a_campaign_whose_parent_dies_resumes_from_the_cache(tmp_path):
+    spec = _spec(seeds=(0, 1, 2, 3, 4, 5))
+    directory = str(tmp_path / "camp")
+    proc = _run_child(PARENT_DIES_AFTER_THREE.format(spec=spec.to_dict(),
+                                                     directory=directory))
+    assert proc.returncode == 9, proc.stderr
+    workers = json.loads(proc.stdout.splitlines()[-1])
+    assert workers, "no worker was alive when the parent died"
+    # an idle worker reads EOF from its pipe and exits
+    deadline = time.monotonic() + 10
+    while not all(map(_is_gone, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert all(map(_is_gone, workers)), workers
+
+    cache = os.path.join(directory, CACHE_DIR)
+    entries = [name for name in os.listdir(cache)
+               if name.endswith(".cell.json")]
+    assert len(entries) == 3
+    ledger = read_campaign_manifest(os.path.join(directory, MANIFEST_NAME))
+    assert ledger["spec_fingerprint"] == spec.fingerprint
+    assert ledger["exit_code"] is None
+
+    with pytest.raises(CampaignError, match="different spec"):
+        run_campaign(_spec(seeds=(7,)), directory, resume=True)
+    resumed = run_campaign(spec, directory, processes=1, resume=True)
+    assert resumed.exit_code == 0 and resumed.cache_hits == 3
+    clean = run_campaign(spec, str(tmp_path / "clean"), processes=1)
+    assert _read(resumed.aggregate_path) == _read(clean.aggregate_path)
 
 
 # -- pieces -------------------------------------------------------------------

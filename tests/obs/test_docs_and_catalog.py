@@ -20,9 +20,9 @@ DOCS = (_DOCS_DIR / "observability.md", _DOCS_DIR / "serving.md",
         _DOCS_DIR / "arena.md")
 
 #: first name segments that mark a backticked token as a metric/event
-_LAYER_PREFIXES = {"sim", "runner", "data", "ml", "amgan", "vaccinate",
-                   "adaptive", "stage", "cli", "task", "manifest", "guard",
-                   "campaign", "serve", "arena"}
+_LAYER_PREFIXES = {"sim", "runner", "runtime", "data", "ml", "amgan",
+                   "vaccinate", "adaptive", "stage", "cli", "task",
+                   "manifest", "guard", "campaign", "serve", "arena"}
 #: backticked dotted tokens that are file names, not metric names
 _FILE_SUFFIXES = {"json", "jsonl", "md", "py", "pstats", "npz"}
 

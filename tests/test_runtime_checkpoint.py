@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.obs import metrics
 from repro.runtime import CheckpointError, CheckpointStore
 from repro.runtime.atomic import atomic_write_bytes
 
@@ -31,6 +32,27 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"old")
         atomic_write_bytes(path, b"new")
         assert open(path, "rb").read() == b"new"
+
+
+def _writes_timed():
+    return metrics().timer("runtime.atomic_write.seconds").count
+
+
+class TestWriteTimer:
+    def test_every_write_is_timed(self, tmp_path):
+        before = _writes_timed()
+        for i in range(4):
+            atomic_write_bytes(str(tmp_path / "x"), b"%d" % i)
+        assert _writes_timed() - before == 4
+
+    def test_a_store_open_and_two_new_puts_are_five_writes(self, tmp_path):
+        """``open`` writes the manifest; each new-key ``put`` writes its
+        shard and rewrites the manifest."""
+        before = _writes_timed()
+        store = _store(tmp_path)
+        store.put("a", {"records": [1]})
+        store.put("b", {"records": [2]})
+        assert _writes_timed() - before == 5
 
 
 class TestCheckpointStore:
