@@ -25,14 +25,16 @@ detector, generation by generation:
 
 Every generation is checkpointed through
 :class:`~repro.runtime.CheckpointStore` (population, detector weights,
-RNG state, trajectory, holes), so ``--resume`` after a SIGKILL replays
-the interrupted generation **bit-identically** (a resumed race carries
-no evaluation into its first generation, so it simulates every genome)
-— the report (:data:`REPORT_NAME`) is a pure function of the
-trajectory and diffs byte-equal against an uninterrupted run.
-Per-genome crashes, diverged retrains and corrupted checkpoints degrade
-to classified holes; only an unusable spec/directory or a failed
-*initial* vaccination is fatal.
+RNG state, trajectory, holes), and that sealed shard is the
+generation's record: the ledger (:data:`MANIFEST_NAME` and
+:data:`REPORT_NAME`) is written only when the race starts and when it
+ends.  ``--resume`` after a SIGKILL reads only the checkpoints and
+replays the interrupted generation **bit-identically** (a resumed race
+carries no evaluation into its first generation, so it simulates every
+genome) — the report is a pure function of the trajectory and diffs
+byte-equal against an uninterrupted run.  Per-genome crashes, diverged
+retrains and corrupted checkpoints degrade to classified holes; only an
+unusable spec/directory or a failed *initial* vaccination is fatal.
 
 Exit-code contract (mirrors ``repro campaign``): 0 = clean, 1 =
 completed with holes, 2 = fatal (raised as
@@ -241,11 +243,11 @@ def render_arena_report(spec, trajectory, holes):
 
 
 class _Ledger:
-    """``arena.json`` + ``arena.md``, rewritten atomically after every
-    generation so a SIGKILL at any instant leaves a consistent,
-    resumable prefix on disk.  The exit code is ``None`` while any
-    generation remains: an interrupted race's ledger does not read as a
-    finish."""
+    """``arena.json`` + ``arena.md``, written atomically when the race
+    starts and when it ends.  The generation checkpoints are the
+    per-generation record, so a race killed midway leaves its start
+    ledger, whose exit code is ``None``: an interrupted race's ledger
+    does not read as a finish."""
 
     def __init__(self, directory, spec, guard_policy, parent_run):
         self.directory = directory
@@ -406,12 +408,12 @@ def run_arena(spec, directory, *, processes=None, retries=1,
             reg.inc("arena.checkpoint.corrupt")
             if restore_gen is not None and g < restore_gen:
                 continue         # superseded by the restore point
-            # the shard is gone or fails its checksum: classify the hole
-            # and re-run the generation (self-healing)
+            # the shard fails its checksum: classify the hole and re-run
+            # the generation (self-healing)
             holes.append({"generation": g, "kind": CHECKPOINT_CORRUPT,
                           "key": claimed[g],
-                          "message": "generation checkpoint missing or "
-                                     "corrupt; re-running"})
+                          "message": "generation checkpoint corrupt; "
+                                     "re-running"})
             reg.inc("arena.genomes.holes")
             obs_event("arena.hole", level="error", generation=g,
                       kind=CHECKPOINT_CORRUPT, key=claimed[g])
@@ -573,7 +575,6 @@ def run_arena(spec, directory, *, processes=None, retries=1,
                             spec.population, rng)
         _checkpoint(store, g, population, incumbent, rng, trajectory,
                     holes, chaos)
-        ledger.flush(trajectory, holes)
         if progress is not None:
             progress(entry)
 

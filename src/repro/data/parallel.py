@@ -15,8 +15,8 @@ built on :class:`repro.runtime.TaskRunner`:
   attempt (a failed worker is retired, so a retry starts in a fresh
   fork), and a worker that succeeded runs the next source;
 * results stream back in submission order and are flushed into the
-  dataset (and, when checkpointing, to per-source shard files plus a
-  manifest) incrementally, so peak memory stays bounded and an
+  dataset (and, when checkpointing, to one self-verifying shard file
+  per source) incrementally, so peak memory stays bounded and an
   interrupted build can ``resume``;
 * sources that exhaust their retries are quarantined into a
   :class:`repro.runtime.FailureReport` (crash / timeout / divergent
@@ -78,9 +78,10 @@ def build_dataset_resilient(attacks, workloads, config=None,
     Raises :class:`~repro.runtime.CoverageError` (carrying the report
     and the partial dataset) when coverage drops below ``min_coverage``.
 
-    With ``checkpoint_dir`` set, each completed source is flushed to an
-    atomic shard + manifest; ``resume=True`` skips sources whose shard
-    verifies and re-simulates only the rest.
+    With ``checkpoint_dir`` set, each completed source is flushed to
+    its own atomic, self-verifying shard (the build's manifest is
+    written once, at the start); ``resume=True`` skips sources whose
+    shard verifies and re-simulates only the rest.
     """
     sources = [(a, 1) for a in attacks] + [(w, 0) for w in workloads]
     tasks = [Task(key=source_key(i, s, label),

@@ -177,7 +177,7 @@ CATALOG = {
                         "regression gate"),
         "arena.checkpoint.corrupt":
             ("counter", "generation checkpoints rejected on resume "
-                        "(missing shard or checksum mismatch)"),
+                        "(checksum mismatch)"),
         "arena.generation.seconds":
             ("timer", "wall-clock per arms-race generation"),
     },

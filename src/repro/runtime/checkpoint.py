@@ -1,14 +1,15 @@
 """Checkpoint/resume for long corpus builds.
 
-Completed sources are flushed to one sealed shard per source
-(:mod:`repro.runtime.digest`: each shard carries its own digest and its
-key, so it verifies itself) plus a sealed ``manifest.json`` holding the
-build's *context* (sample period, task keys...) and the key ->
-shard-file map.  Everything is written atomically (temp +
-``os.replace``), so a kill at any instant leaves either the old or the
-new state — never a torn one — and a resumed run can trust the
-manifest: it re-simulates only sources whose shard is missing or fails
-to verify.
+Each completed source is flushed to one sealed shard
+(:mod:`repro.runtime.digest`) that carries its own digest and key, so
+it verifies itself and is the source's record.  The sealed
+``manifest.json`` holds only the build's *context* (sample period, task
+keys...) and is written once, by a fresh build after it has deleted
+every shard, so any shard on disk belongs to the build the manifest
+names.  Everything is written atomically (temp + ``os.replace``), so a
+kill at any instant leaves either the old or the new state — never a
+torn one — and a resumed run re-simulates only sources whose shard is
+missing or fails to verify.
 
 The store is payload-agnostic (it persists JSON documents keyed by task
 key); the data layer owns the record <-> JSON mapping.
@@ -30,11 +31,10 @@ def _slug(key):
 
 
 class CheckpointStore:
-    """A directory of per-source shards plus an atomic manifest."""
+    """Self-verifying per-source shards plus their build's manifest."""
 
     def __init__(self, directory):
         self.directory = directory
-        self._context, self._shards = {}, {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -44,32 +44,36 @@ class CheckpointStore:
         ``resume=True`` loads an existing manifest (and insists its
         context matches, else :class:`CheckpointError` — resuming a
         *different* build into these shards would corrupt the corpus).
-        Otherwise any previous state is cleared.
+        Otherwise any previous state is cleared and the manifest written.
         """
         os.makedirs(self.directory, exist_ok=True)
         if resume and os.path.exists(self._manifest_path()):
-            self._read_manifest()
-            if self._context != context:
+            if self._read_context() != context:
                 raise CheckpointError(
                     f"checkpoint at {self.directory} was built with "
                     f"different settings; re-run without --resume to "
                     f"rebuild it")
         else:
             self.reset()
-            self._context = dict(context)
-            self._write_manifest()
+            write_sealed(self._manifest_path(), MANIFEST_SCHEMA,
+                         {"context": dict(context)})
         return self
 
     def reset(self):
-        """Delete all shards and the manifest."""
+        """Delete all shards and the manifest.  A file that cannot be
+        deleted raises :class:`CheckpointError`: a shard left behind
+        would pass for the next build's."""
         if os.path.isdir(self.directory):
             for name in os.listdir(self.directory):
                 if name == MANIFEST_NAME or name.endswith(".shard.json"):
                     try:
                         os.unlink(os.path.join(self.directory, name))
-                    except OSError:
+                    except FileNotFoundError:
                         pass
-        self._context, self._shards = {}, {}
+                    except OSError as exc:
+                        raise CheckpointError(
+                            f"cannot clear checkpoint {self.directory}: "
+                            f"{exc}") from exc
 
     # -- shard access ---------------------------------------------------------
 
@@ -78,62 +82,59 @@ class CheckpointStore:
         return os.path.join(self.directory, _slug(key) + ".shard.json")
 
     def put(self, key, payload):
-        """Persist one completed source atomically and register it."""
-        path = self.path(key)
-        write_sealed(path, SHARD_SCHEMA, {"key": key, "data": payload})
-        self._shards[key] = os.path.basename(path)
-        self._write_manifest()
+        """Persist one completed source atomically: the shard is its record."""
+        write_sealed(self.path(key), SHARD_SCHEMA,
+                     {"key": key, "data": payload})
 
     def get(self, key):
         """Load and verify one shard; raises :class:`CheckpointError`
-        when the shard is unknown, missing or fails to verify."""
-        name = self._shards.get(key)
-        if name is None:
-            raise CheckpointError(f"no checkpoint shard for {key!r}")
-        path = os.path.join(self.directory, name)
-        try:
-            shard = read_sealed(path, SHARD_SCHEMA)
-        except FileNotFoundError:
+        when the shard is missing, fails to verify or holds another
+        key."""
+        found, data = self._read(self.path(key))
+        if found != key:                # two keys with one slug
             raise CheckpointError(
-                f"checkpoint shard missing: {path}") from None
-        except SealedFileError as exc:
-            raise CheckpointError(
-                f"checkpoint shard corrupt: {exc}") from exc
-        if not isinstance(shard, dict) or shard.get("key") != key:
-            raise CheckpointError(
-                f"checkpoint shard {path} holds another key's data")
-        return shard["data"]
+                f"checkpoint shard for {key!r} holds another key's data")
+        return data
 
     def valid_keys(self):
-        """Keys whose shard exists on disk and verifies.
-
-        Invalid entries are dropped from the in-memory manifest so the
-        build re-simulates them (graceful self-healing on resume).
-        """
-        good = []
-        for key in list(self._shards):
-            try:
-                self.get(key)
-            except CheckpointError:
-                del self._shards[key]
-            else:
-                good.append(key)
-        return good
+        """Sorted keys of the shards on disk that verify and sit at
+        their own key's path (the store re-simulates the rest)."""
+        keys = []
+        for name in os.listdir(self.directory):
+            if name.endswith(".shard.json"):
+                try:
+                    keys.append(
+                        self._read(os.path.join(self.directory, name))[0])
+                except CheckpointError:
+                    pass
+        return sorted(keys)
 
     def has(self, key):
-        return key in self._shards
+        """Whether a shard claims ``key``, verified or not."""
+        return os.path.exists(self.path(key))
+
+    def _read(self, path):
+        """``(key, data)`` of the verified shard at ``path``."""
+        try:
+            shard = read_sealed(path, SHARD_SCHEMA)
+        except (FileNotFoundError, SealedFileError) as exc:
+            raise CheckpointError(
+                f"unusable checkpoint shard: {exc}") from exc
+        key = shard.get("key") if isinstance(shard, dict) else None
+        if not isinstance(key, str) or self.path(key) != path:
+            raise CheckpointError(
+                f"checkpoint shard {path} holds another key's data")
+        return key, shard["data"]
 
     # -- manifest -------------------------------------------------------------
 
     def _manifest_path(self):
         return os.path.join(self.directory, MANIFEST_NAME)
 
-    def _read_manifest(self):
+    def _read_context(self):
         path = self._manifest_path()
         try:
-            manifest = read_sealed(path, MANIFEST_SCHEMA)
-            self._context = manifest["context"]
-            self._shards = dict(manifest["shards"])
+            return read_sealed(path, MANIFEST_SCHEMA)["context"]
         except (OSError, SealedFileError) as exc:
             raise CheckpointError(
                 f"unusable checkpoint manifest: {exc}; re-run without "
@@ -141,7 +142,3 @@ class CheckpointStore:
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint manifest {path}: {exc}") from exc
-
-    def _write_manifest(self):
-        write_sealed(self._manifest_path(), MANIFEST_SCHEMA,
-                     {"context": self._context, "shards": self._shards})

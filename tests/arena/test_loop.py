@@ -1,7 +1,7 @@
-"""The arms-race loop: clean runs, bit-identical crash-resume, hole
-classification (worker kills, diverged retrains, corrupt checkpoints,
-gate rollbacks), elites scored from their previous evaluation, and the
-fatal-error contract."""
+"""The arms-race loop: clean runs, the files a clean race replaces,
+bit-identical crash-resume, hole classification (worker kills, diverged
+retrains, corrupt checkpoints, gate rollbacks), elites scored from their
+previous evaluation, and the fatal-error contract."""
 
 import json
 import os
@@ -20,6 +20,7 @@ from repro.core.patching import ModelSchemaError, detector_to_dict, \
     load_detector
 from repro.data.dataset import Dataset
 from repro.obs import metrics
+from repro.runtime import atomic
 from repro.runtime import (
     ARENA_CHECKPOINT_CORRUPT_FAULT, CHECKPOINT_CORRUPT, CRASH,
     GATE_REGRESS_FAULT, GATE_REGRESSION, GEN_KILL_FAULT, GENOME_KILL_FAULT,
@@ -162,6 +163,28 @@ class TestCleanRun:
         assert detector_to_dict(loaded) == detector_to_dict(result.detector)
 
 
+class TestWrites:
+    @pytest.mark.parametrize("generations", [1, 2])
+    def test_a_clean_race_rewrites_only_its_final_ledger(
+            self, tmp_path, monkeypatch, generations):
+        """Replacing an existing file is the costly write on some hosts.
+        A clean race writes every checkpoint, the store's manifest and
+        the detector under new names, and replaces only the ledger's two
+        files, once each, when it ends."""
+        replaced = []
+        real_replace = atomic.os.replace
+
+        def recording_replace(src, dst):
+            if os.path.exists(dst):
+                replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+        monkeypatch.setattr(atomic.os, "replace", recording_replace)
+        result = run_arena(ArenaSpec(**{**SPEC, "generations": generations}),
+                           str(tmp_path / "race"), processes=1)
+        assert result.exit_code == 0
+        assert sorted(replaced) == ["arena.json", "arena.md"]
+
+
 class TestResume:
     def test_sigkill_then_resume_is_bit_identical(self, clean, tmp_path):
         """The acceptance drill: kill at the top of the last generation,
@@ -173,9 +196,14 @@ class TestResume:
                                        generation=spec.generations)])
         with pytest.raises(ChaosKill):
             run_arena(spec, directory, processes=2, retries=1, chaos=chaos)
-        # the interrupted prefix is already a consistent ledger
+        # the ledger is the start ledger; the checkpoints are the record
+        # of every generation finished before the kill
         partial = json.loads(read(os.path.join(directory, "arena.json")))
-        assert partial["counts"]["generations"] == spec.generations - 1
+        assert partial["counts"]["generations"] == 0
+        assert partial["exit_code"] is None
+        store = CheckpointStore(os.path.join(directory, "checkpoints"))
+        assert store.valid_keys() == [f"gen-{g}"
+                                      for g in range(spec.generations)]
 
         resumed = run_arena(spec, directory, processes=2, retries=1,
                             resume=True)

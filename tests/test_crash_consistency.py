@@ -3,14 +3,14 @@
 The durable-write contract (``docs/runtime.md``): a kill at *any*
 instant leaves either the old state or the new state under every final
 name — never a torn file — and a resumed run self-heals around any
-debris (stray temp files, orphan shards, entries missing their manifest
-record).
+debris (stray temp files, unsealed orphan shards).
 
 Two attack styles:
 
 * **surgical** — a child process dies (``os._exit``, the unwindless
   analogue of SIGKILL) at the exact worst instants: between temp-write
-  and rename, and between the shard rename and the manifest update;
+  and rename, and right after a shard's rename, the instant its source
+  becomes durable;
 * **real** — a child is SIGKILLed from outside at an arbitrary point in
   a write loop, and the survivor must find only verifiable state.
 """
@@ -92,7 +92,7 @@ def test_checkpoint_kill_between_tmp_write_and_rename(tmp_path):
     assert store.get("src-a") == {"records": [1, 2, 3]}
 
 
-KILL_BETWEEN_SHARD_AND_MANIFEST = """
+KILL_RIGHT_AFTER_SHARD_RENAME = """
     import os
     import repro.runtime.atomic as atomic
 
@@ -102,31 +102,28 @@ KILL_BETWEEN_SHARD_AND_MANIFEST = """
     store.put("src-a", {{"records": [1]}})
 
     real_replace = os.replace
-    def kill_on_manifest(src, dst):
+    def kill_on_shard(src, dst):
         real_replace(src, dst)
-        if dst.endswith("manifest.json"):
+        if dst == store.path("src-b"):
             os._exit(9)
-    atomic.os.replace = kill_on_manifest
-    store.put("src-b", {{"records": [2]}})      # dies updating manifest
+    atomic.os.replace = kill_on_shard
+    store.put("src-b", {{"records": [2]}})      # dies as its shard lands
 """
 
 
-def test_checkpoint_kill_between_shard_rename_and_manifest(tmp_path):
+def test_checkpoint_kill_right_after_shard_rename(tmp_path):
     ckdir = str(tmp_path / "shards")
-    proc = _run_child(KILL_BETWEEN_SHARD_AND_MANIFEST.format(ckdir=ckdir))
+    proc = _run_child(KILL_RIGHT_AFTER_SHARD_RENAME.format(ckdir=ckdir))
     assert proc.returncode == 9, proc.stderr
 
-    # src-b's shard landed but its manifest record did not: wait — the
-    # kill fired *after* the manifest rename, so the record is durable;
-    # either way the invariant is the same: every manifest entry must
-    # verify, and resume must not lose src-a
+    # the shard's rename is the commit point: src-b landed, so it is as
+    # valid as src-a, and both verify on resume
     store = CheckpointStore(ckdir)
     store.open(context={"build": 1}, resume=True)
-    valid = store.valid_keys()
-    assert "src-a" in valid
-    for key in valid:
-        store.get(key)                          # checksum-verified
-    # the interrupted source can always be re-put on resume
+    assert store.valid_keys() == ["src-a", "src-b"]
+    assert store.get("src-a") == {"records": [1]}
+    assert store.get("src-b") == {"records": [2]}
+    # and the interrupted source can still be re-put
     store.put("src-b", {"records": [2]})
     assert store.get("src-b") == {"records": [2]}
 
@@ -220,8 +217,8 @@ def test_checkpoint_survives_external_sigkill(tmp_path):
 
 
 def test_manifest_is_never_torn_by_debris(tmp_path):
-    """Stray temp files and orphan shards (rename landed, manifest
-    didn't) are invisible to a resumed store."""
+    """Stray temp files and unsealed orphan shards are invisible to a
+    resumed store (a sealed shard that landed is its key's record)."""
     ckdir = tmp_path / "shards"
     store = CheckpointStore(str(ckdir))
     store.open(context={"build": 1})
