@@ -28,8 +28,11 @@ Every generation is checkpointed through
 RNG state, trajectory, holes), and that sealed shard is the
 generation's record: the ledger (:data:`MANIFEST_NAME` and
 :data:`REPORT_NAME`) is written only when the race starts and when it
-ends.  ``--resume`` after a SIGKILL reads only the checkpoints and
-replays the interrupted generation **bit-identically** (a resumed race
+ends.  A resume of a finished race has no generation left: it writes
+no start ledger, and at its end rewrites only the files whose bytes
+change (``arena.json``, which carries the new run id).  ``--resume``
+after a SIGKILL reads only the checkpoints and replays the interrupted
+generation **bit-identically** (a resumed race
 carries no evaluation into its first generation, so it simulates every
 genome) — the report is a pure function of the trajectory and diffs
 byte-equal against an uninterrupted run.  Per-genome crashes, diverged
@@ -59,7 +62,7 @@ from repro.arena.genome import (
 from repro.arena.workers import evaluate_genome, validate_evaluation
 from repro.attacks import ATTACKS_BY_NAME
 from repro.core.patching import (
-    detector_from_dict, detector_to_dict, save_detector,
+    MODEL_FORMAT, detector_from_dict, detector_to_dict,
     verify_corpus_compatible,
 )
 from repro.core.vaccination import vaccinate
@@ -69,8 +72,8 @@ from repro.obs import metrics, obs_event
 from repro.obs.context import current_run_id, record_lineage
 from repro.runtime import (
     CHECKPOINT_CORRUPT, GATE_REGRESSION, TRAINING_DIVERGED, ArenaError,
-    CheckpointStore, Task, TaskRunner, atomic_write_bytes, fingerprint,
-    hashed_fields,
+    CheckpointStore, Task, TaskRunner, atomic_write_changed, fingerprint,
+    hashed_fields, sealed_bytes,
 )
 from repro.workloads import WORKLOAD_BUILDERS, Workload
 
@@ -247,7 +250,9 @@ class _Ledger:
     starts and when it ends.  The generation checkpoints are the
     per-generation record, so a race killed midway leaves its start
     ledger, whose exit code is ``None``: an interrupted race's ledger
-    does not read as a finish."""
+    does not read as a finish.  A file whose bytes would not change is
+    left alone, so a resume that reproduces ``arena.md`` does not
+    replace it."""
 
     def __init__(self, directory, spec, guard_policy, parent_run):
         self.directory = directory
@@ -260,7 +265,7 @@ class _Ledger:
 
     def flush(self, trajectory, holes):
         elapsed = time.monotonic() - self.started
-        atomic_write_bytes(
+        atomic_write_changed(
             self.report_path,
             render_arena_report(self.spec, trajectory, holes)
             .encode("utf-8"))
@@ -291,8 +296,8 @@ class _Ledger:
             "exit_code": (None if generations < self.spec.generations
                           else 1 if holes else 0),
         }
-        atomic_write_bytes(self.manifest_path,
-                           json.dumps(manifest, indent=1).encode("utf-8"))
+        atomic_write_changed(self.manifest_path,
+                             json.dumps(manifest, indent=1).encode("utf-8"))
         return elapsed
 
 
@@ -464,7 +469,8 @@ def run_arena(spec, directory, *, processes=None, retries=1,
             incumbent, eval_ds if eval_ds is not None else Dataset(),
             detector_origin="arena incumbent",
             corpus_origin="held-out corpus")
-    ledger.flush(trajectory, holes)
+    if start_gen <= spec.generations:
+        ledger.flush(trajectory, holes)     # the start ledger
 
     # -- the arms race ---------------------------------------------------------
     # the previous generation's evaluations by genome fingerprint; a
@@ -578,7 +584,10 @@ def run_arena(spec, directory, *, processes=None, retries=1,
         if progress is not None:
             progress(entry)
 
-    save_detector(incumbent, os.path.join(directory, DETECTOR_NAME))
+    # a resume that replayed nothing reproduces the detector's bytes
+    atomic_write_changed(os.path.join(directory, DETECTOR_NAME),
+                         sealed_bytes(MODEL_FORMAT,
+                                      detector_to_dict(incumbent)))
     elapsed = ledger.flush(trajectory, holes)
     result = ArenaResult(spec=spec, trajectory=trajectory, holes=holes,
                          detector=incumbent, directory=directory,

@@ -12,7 +12,9 @@ fault-injection harness (:mod:`~repro.runtime.chaos`) that makes all of
 the above testable in CI.
 """
 
-from repro.runtime.atomic import atomic_write_bytes, fsync_directory
+from repro.runtime.atomic import (
+    atomic_write_bytes, atomic_write_changed, fsync_directory,
+)
 from repro.runtime.chaos import (
     ARENA_CHECKPOINT_CORRUPT_FAULT, ARENA_FAULT_KINDS, BURST_ARRIVAL_FAULT,
     CACHE_CORRUPT_FAULT, CACHE_TRUNCATE_FAULT, CAMPAIGN_FAULT_KINDS,
@@ -29,7 +31,7 @@ from repro.runtime.chaos import (
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.digest import (
     SealedFileError, canonical, fingerprint, hashed_fields, quarantine,
-    read_sealed, sha256_bytes, write_sealed,
+    read_sealed, sealed_bytes, sha256_bytes, write_sealed,
 )
 from repro.runtime.errors import (
     ARENA_FAILURE_KINDS, CACHE_CORRUPT, CAMPAIGN_FAILURE_KINDS,
@@ -44,7 +46,7 @@ from repro.runtime.runner import (
 )
 
 __all__ = [
-    "atomic_write_bytes", "fsync_directory",
+    "atomic_write_bytes", "atomic_write_changed", "fsync_directory",
     "ARENA_CHECKPOINT_CORRUPT_FAULT", "ARENA_FAULT_KINDS",
     "BURST_ARRIVAL_FAULT", "CACHE_CORRUPT_FAULT", "CACHE_TRUNCATE_FAULT",
     "CAMPAIGN_FAULT_KINDS", "CRASH_FAULT", "DETECTOR_EXCEPTION_FAULT",
@@ -59,7 +61,8 @@ __all__ = [
     "chaos_kill_self", "corrupt_in_place", "inject_faults",
     "CheckpointStore",
     "SealedFileError", "canonical", "fingerprint", "hashed_fields",
-    "quarantine", "read_sealed", "sha256_bytes", "write_sealed",
+    "quarantine", "read_sealed", "sealed_bytes", "sha256_bytes",
+    "write_sealed",
     "ARENA_FAILURE_KINDS", "CACHE_CORRUPT", "CAMPAIGN_FAILURE_KINDS",
     "CHECKPOINT_CORRUPT", "CRASH", "DIVERGENT", "FAILURE_KINDS",
     "GATE_REGRESSION", "TIMEOUT", "TRAINING_DIVERGED", "ArenaError",

@@ -81,3 +81,21 @@ def atomic_write_bytes(path, data, fsync=True):
         raise
     metrics().observe("runtime.atomic_write.seconds",
                       time.perf_counter() - started)
+
+
+def atomic_write_changed(path, data):
+    """:func:`atomic_write_bytes`, unless ``path`` already holds exactly
+    ``data``; returns whether it wrote.
+
+    For a run that may reproduce a file it wrote before (a resume with
+    nothing left to do): leaving an identical file alone skips the
+    replace, the costly write on some hosts.
+    """
+    try:
+        with open(path, "rb") as f:
+            if f.read() == data:
+                return False
+    except FileNotFoundError:
+        pass
+    atomic_write_bytes(path, data)
+    return True

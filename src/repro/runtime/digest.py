@@ -106,8 +106,8 @@ def fingerprint(obj):
 
 # -- the sealed file ----------------------------------------------------------
 
-def write_sealed(path, schema, payload):
-    """Atomically write ``payload`` to ``path`` as a sealed file.
+def sealed_bytes(schema, payload):
+    """The bytes of a sealed file holding ``payload``.
 
     The payload is serialised once: its canonical text is both what the
     digest covers and what the file embeds.
@@ -115,7 +115,12 @@ def write_sealed(path, schema, payload):
     body = canonical(payload)
     head = json.dumps({"schema": schema, "sha256": sha256_bytes(
         body.encode())}, separators=(",", ":"))
-    atomic_write_bytes(path, f'{head[:-1]},"payload":{body}}}'.encode())
+    return f'{head[:-1]},"payload":{body}}}'.encode()
+
+
+def write_sealed(path, schema, payload):
+    """Atomically write ``payload`` to ``path`` as a sealed file."""
+    atomic_write_bytes(path, sealed_bytes(schema, payload))
 
 
 def read_sealed(path, schema):

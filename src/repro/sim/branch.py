@@ -19,14 +19,6 @@ _C_BTBMISSES = _IX("branchPred.BTBMisses")
 _C_RASUSED = _IX("branchPred.RASUsed")
 
 
-def _saturate(counter, taken, bits=2):
-    """Update a saturating counter."""
-    top = (1 << bits) - 1
-    if taken:
-        return min(counter + 1, top)
-    return max(counter - 1, 0)
-
-
 class TournamentPredictor:
     """Local + gshare tournament direction predictor."""
 
@@ -44,33 +36,50 @@ class TournamentPredictor:
         self.history = 0
         self.counters = counters
 
-    def _indices(self, pc):
-        li = pc % self.local_size
-        gi = (pc ^ self.history) % self.global_size
-        ci = pc % self.choice_size
-        return li, gi, ci
+    # predict/update run once per conditional branch, so both index the
+    # tables and saturate the 2-bit counters inline
 
     def predict(self, pc):
         """Predicted direction for the conditional branch at ``pc``."""
-        li, gi, ci = self._indices(pc)
         if self.counters is not None:
             v = self.counters.values
             v[_C_LOOKUPS] += 1
             v[_C_CONDPREDICTED] += 1
-        if self.choice_table[ci] >= 2:
-            return self.global_table[gi] >= 2
-        return self.local_table[li] >= 2
+        if self.choice_table[pc % self.choice_size] >= 2:
+            return self.global_table[
+                (pc ^ self.history) % self.global_size] >= 2
+        return self.local_table[pc % self.local_size] >= 2
 
     def update(self, pc, taken):
         """Train both component tables and the chooser on the outcome."""
-        li, gi, ci = self._indices(pc)
-        local_correct = (self.local_table[li] >= 2) == taken
-        global_correct = (self.global_table[gi] >= 2) == taken
-        if local_correct != global_correct:
-            self.choice_table[ci] = _saturate(self.choice_table[ci], global_correct)
-        self.local_table[li] = _saturate(self.local_table[li], taken)
-        self.global_table[gi] = _saturate(self.global_table[gi], taken)
-        self.history = ((self.history << 1) | int(taken)) & 0xFFF
+        local_table = self.local_table
+        global_table = self.global_table
+        li = pc % self.local_size
+        gi = (pc ^ self.history) % self.global_size
+        local = local_table[li]
+        glob = global_table[gi]
+        global_correct = (glob >= 2) == taken
+        if ((local >= 2) == taken) != global_correct:
+            choice_table = self.choice_table
+            ci = pc % self.choice_size
+            choice = choice_table[ci]
+            if global_correct:
+                if choice < 3:
+                    choice_table[ci] = choice + 1
+            elif choice > 0:
+                choice_table[ci] = choice - 1
+        if taken:
+            if local < 3:
+                local_table[li] = local + 1
+            if glob < 3:
+                global_table[gi] = glob + 1
+            self.history = ((self.history << 1) | 1) & 0xFFF
+        else:
+            if local > 0:
+                local_table[li] = local - 1
+            if glob > 0:
+                global_table[gi] = glob - 1
+            self.history = (self.history << 1) & 0xFFF
 
 
 class BTB:

@@ -50,6 +50,10 @@ _C_MEMBUS_DATA = _IX("membus.dataThroughBus")
 
 _C_SPECBUF_FILLS = _IX("specbuf.fills")
 
+#: the way list of a set no line has been filled into; shared by every
+#: such set, so ``in``/``len`` read it as empty without allocating
+_UNFILLED = ()
+
 
 class Cache:
     """One level of set-associative cache with true LRU.
@@ -80,8 +84,10 @@ class Cache:
         self._ix_clean_evicts = (_IX(f"{prefix}.cleanEvicts")
                                  if CounterBank.has(f"{prefix}.cleanEvicts")
                                  else None)
-        # per-set: list of line addrs in LRU order (last = most recent)
-        self._sets = [[] for _ in range(self.num_sets)]
+        # per-set: list of line addrs in LRU order (last = most recent),
+        # created by the set's first fill: 4,096 empty L2 lists built up
+        # front would be most of a Machine's construction cost
+        self._sets = [_UNFILLED] * self.num_sets
         self._dirty = set()
         self._inflight_misses = 0
 
@@ -97,7 +103,8 @@ class Cache:
         return line_addr in self._sets[self._set_index(line_addr)]
 
     def lookup(self, line_addr, update_lru=True):
-        """Tag lookup; moves the line to MRU position on hit."""
+        """Tag lookup; moves the line to MRU position on hit (a set not
+        yet filled is the empty tuple, which holds no line)."""
         ways = self._sets[self._set_index(line_addr)]
         if line_addr in ways:
             if update_lru and ways[-1] != line_addr:
@@ -108,8 +115,11 @@ class Cache:
 
     def fill(self, line_addr, dirty=False):
         """Insert a line; returns ``(evicted_line, was_dirty)`` or None."""
-        ways = self._sets[self._set_index(line_addr)]
-        if line_addr in ways:
+        index = self._set_index(line_addr)
+        ways = self._sets[index]
+        if ways is _UNFILLED:
+            ways = self._sets[index] = []
+        elif line_addr in ways:
             ways.remove(line_addr)
             ways.append(line_addr)
             if dirty:

@@ -25,8 +25,13 @@ name lookups; issue readiness is a maintained ``pending_sources`` count
 driven by per-producer wakeup lists instead of a per-cycle operand scan;
 completion is a (done_cycle, seq) heap instead of a scan over in-flight
 entries; and the oldest unresolved branch / fence / lfence is O(1) because
-those lists are kept in program order.  ``repro.sim.reference`` keeps the
-original scan-based scheduler as an executable specification; the two must
+those lists are kept in program order.  The core also does only the work
+its outputs need: :meth:`O3Core.step` calls a stage only when that stage's
+first test passes, the retire counters are bumped once per commit burst,
+and a load's InvisiSpec shadow is read where it is used.  The seq index,
+the IQ/executing lists and the issue-time shadow flag that only the
+scan-based scheduler reads live on :class:`repro.sim.reference.ReferenceO3Core`,
+which keeps that scheduler as an executable specification; the two must
 stay counter-stream bit-identical (tests/sim/test_counter_equivalence.py).
 """
 
@@ -53,6 +58,14 @@ _DISPATCHED = EntryState.DISPATCHED
 _EXECUTING = EntryState.EXECUTING
 _SQUASHED = EntryState.SQUASHED
 _FAULT_NONE = FaultKind.NONE
+# enum members read per op: a module global is several times cheaper than
+# the member lookup on the enum class
+_FENCE_SPECTRE = DefenseMode.FENCE_SPECTRE
+_FENCE_FUTURISTIC = DefenseMode.FENCE_FUTURISTIC
+_INVISISPEC_SPECTRE = DefenseMode.INVISISPEC_SPECTRE
+_INVISISPEC_FUTURISTIC = DefenseMode.INVISISPEC_FUTURISTIC
+_BEQ, _BNE, _JMP, _JMPI, _CALL, _RET, _STOREU = (
+    Op.BEQ, Op.BNE, Op.JMP, Op.JMPI, Op.CALL, Op.RET, Op.STOREU)
 
 # -- preresolved counter slots (typo fails at import, not first event) --------
 _IX = CounterBank.index_of
@@ -169,11 +182,8 @@ class O3Core:
         self.rename_map = [None] * 16  # arch reg -> producing RobEntry (or None)
         self._sampler = machine.sampler
         self.rob = deque()             # program order, left = oldest
-        self.entries_by_seq = {}
-        self.waiting = []              # DISPATCHED (reference scheduler only)
-        self._iq_len = 0               # DISPATCHED count (fast IQ occupancy)
+        self._iq_len = 0               # DISPATCHED count (IQ occupancy)
         self._ready = []               # DISPATCHED + operands ready, seq order
-        self.executing = []            # EXECUTING (reference scheduler only)
         self.store_entries = []        # in-flight stores, program order
         self.load_entries = []         # in-flight loads, program order
         self.unresolved_branches = []  # mispredictable branches not DONE
@@ -212,12 +222,6 @@ class O3Core:
         ``sources``-dict resolution."""
         return entry.v1 if reg == entry.inst.rs1 else entry.v2
 
-    def _has_older_unresolved_branch(self, seq):
-        # unresolved_branches is kept in program order, so the oldest
-        # unresolved branch is always the first element
-        ub = self.unresolved_branches
-        return bool(ub) and ub[0].seq < seq
-
     def _has_older_incomplete(self, entry):
         """Is any older ROB entry not DONE?  Cached per (cycle, squash
         epoch): within one issue scan the set of non-DONE entries only
@@ -231,45 +235,18 @@ class O3Core:
         oldest = self._oldest_incomplete
         return oldest is not None and oldest < entry.seq
 
-    def _mark_done(self, entry):
-        """Transition to DONE and wake every consumer waiting on it,
-        forwarding the (write-once) result into their operand slots."""
-        entry.state = _DONE
-        waiters = entry.waiters
-        if waiters:
-            result = entry.result
-            for consumer, slot in waiters:
-                if slot == 1:
-                    consumer.v1 = result
-                else:
-                    consumer.v2 = result
-                consumer.pending_sources -= 1
-                if consumer.pending_sources == 0 \
-                        and consumer.state is _DISPATCHED:
-                    self._note_ready(consumer)
-
-    def _note_ready(self, entry):
-        """Register an operand-ready DISPATCHED entry as an issue candidate.
-
-        The candidate list stays seq-sorted (dispatch appends in seq order;
-        wakeups insort); entries that issue or get squashed are pruned
-        lazily by :meth:`_issue`.  The reference scheduler overrides this
-        to a no-op — it rescans ``waiting`` every cycle instead.
-        """
-        ready = self._ready
-        if not ready or ready[-1].seq < entry.seq:
-            ready.append(entry)
-        else:
-            insort(ready, entry, key=_SEQ_OF)
-
-    def _note_executing(self, entry):
-        """Register a newly issued entry with the completion scheduler."""
-        heapq.heappush(self._completion, (entry.done_cycle, entry.seq, entry))
-
     # ------------------------------------------------------------------ cycle
 
     def step(self, cycle):
-        """Advance the core one cycle."""
+        """Advance the core one cycle.
+
+        A stage is called only when its own first test passes: the ROB
+        head is DONE and commit is not stalled, a completion is due, the
+        ready list is non-empty, the fetch buffer is non-empty, fetch is
+        not halted.  A stage whose first test fails returns without
+        touching any state, so skipping the call is exact; no cycle is
+        skipped.  ``ReferenceO3Core.step`` calls every stage every cycle.
+        """
         self.cycle = cycle
         # inline of ExecPorts.new_cycle: stolen ports apply to this cycle
         # (the tables are lists indexed PORT_INT/PORT_MULDIV/PORT_MEM = 0/1/2)
@@ -280,19 +257,28 @@ class O3Core:
         stolen[0] = stolen[1] = stolen[2] = 0
         v = self.counters.values
         v[_C_CPU_NUMCYCLES] += 1
-        committed_before = self.committed
-        self._commit(cycle)
-        if self.committed == committed_before:
-            # no instruction retired this cycle (head not ready, commit
-            # stalled, or an expose occupied the commit port)
+        rob = self.rob
+        if rob and rob[0].state is _DONE and self.commit_stall_until <= cycle:
+            committed_before = self.committed
+            self._commit(cycle)
+            if self.committed == committed_before:
+                # an expose occupied the commit port
+                v[_C_CPU_IDLECYCLES] += 1
+        else:
+            # no instruction retires: head not ready or commit stalled
             v[_C_CPU_IDLECYCLES] += 1
         if self.halted:
             return
-        self._complete(cycle)
-        self._issue(cycle)
-        self._dispatch(cycle)
-        self._fetch(cycle)
-        if not self.rob and not self.fetch_buffer:
+        heap = self._completion
+        if heap and heap[0][0] <= cycle:
+            self._complete(cycle)
+        if self._ready:
+            self._issue(cycle)
+        if self.fetch_buffer:
+            self._dispatch(cycle)
+        if not self._halt_fetched:
+            self._fetch(cycle)
+        if not rob and not self.fetch_buffer:
             insts = self.m.program.instructions
             if not 0 <= self.fetch_pc < len(insts):
                 self.halted = True
@@ -301,32 +287,37 @@ class O3Core:
     # ------------------------------------------------------------------ commit
 
     def _commit(self, cycle):
+        """Retire up to commit_width DONE entries from the ROB head.
+
+        ``commit.committedInsts``, ``cpu.committedOps`` and ``rob.writes``
+        are bumped once per burst.  The sampler is the only reader of the
+        bank mid-run, so the pending bumps are flushed before every
+        ``on_commit`` boundary, before a trap (which can close a window)
+        and before an expose, and at the end of the burst.
+        """
         if self.commit_stall_until > cycle:
             return
         rob = self.rob
         if not rob or rob[0].state is not _DONE:
             return  # head not ready: skip the locals below on idle cycles
-        retired = 0
+        retired = pending = 0
         width = self.config.commit_width
         v = self.counters.values
-        by_seq = self.entries_by_seq
+        boundary = self._sampler.next_boundary
+        blocked = None
         while retired < width and rob:
             head = rob[0]
             if head.state is not _DONE:
                 break
-            if head.fault is not _FAULT_NONE:
-                self._trap(head, cycle)
-                return
-            if head.needs_expose:
-                self._expose(head, cycle)
-                return
+            if head.fault is not _FAULT_NONE or head.needs_expose:
+                blocked = head         # trap or expose, after the flush
+                break
             # ---- inline retire (was _retire; only ever called here) ----
             inst = head.inst
-            seq = head.seq
             rd = inst.rd
             if rd is not None and head.result is not None:
                 self.arch_regs[rd] = head.result
-            if head.is_branch:
+            if inst.is_branch:
                 v[_C_COMMIT_BRANCHES] += 1
             flags = inst.disp_flags   # 0 for plain ALU ops
             if flags:
@@ -368,21 +359,32 @@ class O3Core:
                 else:          # HALT
                     self.halted = True
                     self.halt_reason = "halt"
-            del by_seq[seq]
             if rd is not None and self.rename_map[rd] is head:
                 self.rename_map[rd] = None
             rob.popleft()
             self.committed += 1
-            v[_C_COMMIT_COMMITTEDINSTS] += 1
-            v[_C_CPU_COMMITTEDOPS] += 1
-            v[_C_ROB_WRITES] += 1
+            retired += 1
+            pending += 1
             # cheap inline gate: the sampler only acts at a window
             # boundary, so skip the call chain for most commits
-            if self.committed >= self._sampler.next_boundary:
+            if self.committed >= boundary:
+                v[_C_COMMIT_COMMITTEDINSTS] += pending
+                v[_C_CPU_COMMITTEDOPS] += pending
+                v[_C_ROB_WRITES] += pending
+                pending = 0
                 self.m.on_commit(self.committed)
-            retired += 1
+                boundary = self._sampler.next_boundary
             if self.halted:
-                return
+                break
+        if pending:
+            v[_C_COMMIT_COMMITTEDINSTS] += pending
+            v[_C_CPU_COMMITTEDOPS] += pending
+            v[_C_ROB_WRITES] += pending
+        if blocked is not None:
+            if blocked.fault is not _FAULT_NONE:
+                self._trap(blocked, cycle)
+            else:
+                self._expose(blocked, cycle)
 
     def _expose(self, head, cycle):
         """InvisiSpec exposure: make the load architecturally visible.
@@ -441,7 +443,11 @@ class O3Core:
             _, seq, entry = pop(heap)
             if entry.state is not _EXECUTING:
                 continue  # squashed after issue (state is _SQUASHED)
-            # inline of _mark_done (value forwarding) and _note_ready
+            # DONE: forward the (write-once) result into each waiting
+            # consumer's operand slot; a consumer whose last operand
+            # arrived becomes an issue candidate, and the candidate list
+            # stays seq-sorted (dispatch appends, wakeups insort).
+            # Entries that issue or get squashed are pruned by _issue.
             entry.state = _DONE
             waiters = entry.waiters
             if waiters:
@@ -458,33 +464,40 @@ class O3Core:
                             ready.append(consumer)
                         else:
                             insort(ready, consumer, key=_SEQ_OF)
-            if entry.is_branch:
+            if entry.inst.is_branch:
                 self._resolve_branch(entry, cycle)
 
     def _resolve_branch(self, entry, cycle):
         v = self.counters.values
-        op = entry.inst.op
-        try:
-            self.unresolved_branches.remove(entry)
-        except ValueError:
-            pass
+        inst = entry.inst
+        op = inst.op
+        # the list is in program order, so the resolving branch is
+        # usually its head
+        ub = self.unresolved_branches
+        if ub and ub[0] is entry:
+            del ub[0]
+        else:
+            try:
+                ub.remove(entry)
+            except ValueError:
+                pass
         v[_C_IEW_EXECBRANCHES] += 1
-        if entry.is_cond_branch:
+        if inst.is_cond_branch:
             self.branch_predictor.update(entry.pc, entry.actual_taken)
-        if op is Op.JMPI:
+        if op is _JMPI:
             self.btb.update(entry.pc, entry.actual_target)
         mispredicted = entry.predicted_target != entry.actual_target
         if not mispredicted:
             return
         v[_C_IEW_BRANCHMISPRED] += 1
         v[_C_COMMIT_BRANCHMISPRED] += 1
-        if entry.is_cond_branch:
+        if inst.is_cond_branch:
             v[_C_BP_CONDINCORRECT] += 1
             if entry.predicted_taken:
                 v[_C_IEW_PREDTAKENINCORRECT] += 1
-        elif op is Op.JMPI:
+        elif op is _JMPI:
             v[_C_BP_INDIRECTMISPRED] += 1
-        elif op is Op.RET:
+        elif op is _RET:
             v[_C_BP_RASINCORRECT] += 1
         v[_C_SQUASH_BRANCH] += 1
         self._squash_younger(entry.seq, cycle)
@@ -499,20 +512,21 @@ class O3Core:
         squashed = 0
         while rob and rob[-1].seq > than_seq:
             entry = rob.pop()
+            inst = entry.inst
             squashed += 1
             v[_C_IQ_SQUASHEDEXAMINED] += 1
             if entry.state is not _DISPATCHED:
                 v[_C_IEW_EXECSQUASHED] += 1
                 v[_C_IQ_SQUASHEDISSUED] += 1
-                if entry.is_load:
+                if inst.is_load:
                     v[_C_LSQ_SQUASHEDLOADS] += 1
-                    if entry.fault is not FaultKind.NONE:
+                    if entry.fault is not _FAULT_NONE:
                         v[_C_IQ_SQUASHEDNONSPECLD] += 1
                     if entry.invisible:
                         v[_C_SPECBUF_SQUASHES] += 1
-                if entry.is_store:
+                if inst.is_store:
                     v[_C_LSQ_SQUASHEDSTORES] += 1
-            if entry.inst.rd is not None:
+            if inst.rd is not None:
                 v[_C_RENAME_UNDONEMAPS] += 1
             self._remove_entry(entry)
         v[_C_DECODE_SQUASHED] += squashed
@@ -528,25 +542,11 @@ class O3Core:
         # Callers squash youngest-first, so in every ordered list the
         # victim is almost always the *last* element — try a tail pop
         # before falling back to a linear remove.
-        self.entries_by_seq.pop(entry.seq, None)
         state = entry.state
         if state is _DISPATCHED:
             self._iq_len -= 1
-            waiting = self.waiting     # reference scheduler's IQ list;
-            if waiting:                # always empty under the fast core
-                if waiting[-1] is entry:
-                    waiting.pop()
-                else:
-                    try:
-                        waiting.remove(entry)
-                    except ValueError:
-                        pass
-        elif state is _EXECUTING and self.executing:
-            try:
-                self.executing.remove(entry)
-            except ValueError:
-                pass
-        if entry.is_store:
+        inst = entry.inst
+        if inst.is_store:
             stores = self.store_entries
             if stores and stores[-1] is entry:
                 stores.pop()
@@ -555,7 +555,7 @@ class O3Core:
                     stores.remove(entry)
                 except ValueError:
                     pass
-        if entry.is_load:
+        if inst.is_load:
             loads = self.load_entries
             if loads and loads[-1] is entry:
                 loads.pop()
@@ -564,7 +564,6 @@ class O3Core:
                     loads.remove(entry)
                 except ValueError:
                     pass
-        inst = entry.inst
         if inst.is_shadowing and state is not _DONE:
             ub = self.unresolved_branches
             if ub and ub[-1] is entry:
@@ -633,8 +632,8 @@ class O3Core:
         config = self.config
         width = config.issue_width
         defense = config.defense
-        spectre_fence = defense is DefenseMode.FENCE_SPECTRE
-        futuristic_fence = defense is DefenseMode.FENCE_FUTURISTIC
+        spectre_fence = defense is _FENCE_SPECTRE
+        futuristic_fence = defense is _FENCE_FUTURISTIC
         stl_speculation = config.stl_speculation
         fences = self.fences
         lfences = self.lfences
@@ -653,12 +652,13 @@ class O3Core:
             seq = entry.seq
             if issued >= width:
                 break
-            # inline of _issue_allowed (kept as the readable/reference
-            # form), in its exact check order — _load_may_issue bumps
+            # the checks of the reference's _issue_allowed, in its
+            # exact check order — _load_may_issue bumps
             # lsq.blockedLoads, so it must stay behind the defense gates
             if fences and fences[0].seq < seq:
                 break                  # held, and so is every younger one
-            is_load = entry.is_load
+            inst = entry.inst
+            is_load = inst.is_load
             if is_load and lfences and lfences[0].seq < seq:
                 continue
             if spectre_fence:
@@ -671,7 +671,7 @@ class O3Core:
                     and not self._load_may_issue(entry):
                 continue
             # inline of ExecPorts.try_issue_port
-            port = entry.inst.port
+            port = inst.port
             if port_used[port] >= port_cap[port]:
                 v[_C_IEW_PORTCONTENTION] += 1
                 v[_C_IQ_CONFLICTS] += 1
@@ -692,31 +692,9 @@ class O3Core:
             for i in reversed(stale):
                 del ready[i]
         if issued:
+            self._iq_len -= issued
             v[_C_IQ_INSTSISSUED] += issued
             v[_C_IQ_INTQUEUEREADS] += issued
-
-    def _issue_allowed(self, entry, defense):
-        seq = entry.seq
-        # FENCE serializes everything younger until it commits.  The fence
-        # lists are kept in program order, so only the head matters.
-        fences = self.fences
-        if fences and fences[0].seq < seq:
-            return False
-        is_load = entry.is_load
-        if is_load:
-            # LFENCE holds younger loads.
-            lfences = self.lfences
-            if lfences and lfences[0].seq < seq:
-                return False
-        if defense is DefenseMode.FENCE_SPECTRE:
-            if self._has_older_unresolved_branch(seq):
-                return False
-        elif defense is DefenseMode.FENCE_FUTURISTIC:
-            if is_load and self._has_older_incomplete(entry):
-                return False
-        if is_load:
-            return self._load_may_issue(entry)
-        return True
 
     def _load_may_issue(self, entry):
         """Memory-dependence check for loads against older stores."""
@@ -735,11 +713,7 @@ class O3Core:
     # ------------------------------------------------------------------ execute
 
     def _execute(self, entry, cycle):
-        entry.state = _EXECUTING
-        entry.issue_cycle = cycle
-        ub = self.unresolved_branches
-        entry.under_shadow = bool(ub) and ub[0].seq < entry.seq
-        self._iq_len -= 1
+        entry.state = _EXECUTING   # _issue takes it off the IQ count
         inst = entry.inst
         kind = inst.exec_kind
         if kind == 0:
@@ -793,31 +767,30 @@ class O3Core:
             self.counters.values[_C_CPU_RDTSCREADS] += 1
             latency = 1
         done = entry.done_cycle = cycle + (latency if latency > 1 else 1)
-        # inline of _note_executing
         heapq.heappush(self._completion, (done, entry.seq, entry))
 
     def _execute_branch(self, entry, cycle):
         inst = entry.inst
         op = inst.op
-        if entry.is_cond_branch:
+        if inst.is_cond_branch:
             v1 = self._operand(entry, inst.rs1)
             v2 = self._operand(entry, inst.rs2) if inst.rs2 is not None else inst.imm
-            if op is Op.BEQ:
+            if op is _BEQ:
                 taken = v1 == v2
-            elif op is Op.BNE:
+            elif op is _BNE:
                 taken = v1 != v2
             else:
                 taken = v1 < v2
             entry.actual_taken = taken
             entry.actual_target = inst.target if taken else entry.pc + 1
-        elif op is Op.JMP:
+        elif op is _JMP:
             entry.actual_taken = True
             entry.actual_target = inst.target
-        elif op is Op.JMPI:
+        elif op is _JMPI:
             entry.actual_taken = True
             entry.actual_target = self._operand(entry, inst.rs1)
             self.counters.values[_C_BP_INDIRECTLOOKUPS] += 1
-        elif op is Op.CALL:
+        elif op is _CALL:
             # handled as a store in _execute_store; not reached
             entry.actual_target = inst.target
         return 1
@@ -825,7 +798,7 @@ class O3Core:
     def _execute_store(self, entry, cycle):
         inst = entry.inst
         v = self.counters.values
-        if inst.op is Op.CALL:
+        if inst.op is _CALL:
             sp = self._operand(entry, 15)
             new_sp = sp - WORD_BYTES
             entry.result = new_sp
@@ -839,7 +812,7 @@ class O3Core:
             entry.addr = base + inst.imm
             entry.store_value = self._operand(entry, inst.rs2)
             latency = 1
-            if inst.op is Op.STOREU:
+            if inst.op is _STOREU:
                 v[_C_LSQ_UNALIGNEDSTORES] += 1
                 latency = 2
         v[_C_IEW_EXECSTORES] += 1
@@ -877,7 +850,7 @@ class O3Core:
     def _execute_load(self, entry, cycle):
         inst = entry.inst
         self.counters.values[_C_IEW_EXECLOADS] += 1
-        if inst.op is Op.RET:
+        if inst.op is _RET:
             sp = self._operand(entry, 15)
             entry.addr = sp
             entry.result = sp + WORD_BYTES
@@ -887,7 +860,7 @@ class O3Core:
         latency = self.m.dtlb.access(entry.addr, is_write=False)
         value, mem_latency = self._load_value(entry, cycle)
         latency += mem_latency
-        if inst.op is Op.RET:
+        if inst.op is _RET:
             entry.actual_taken = True
             entry.actual_target = value
         else:
@@ -948,11 +921,20 @@ class O3Core:
         return value, latency
 
     def _invisible(self, entry):
-        """Should this load use the InvisiSpec invisible path?"""
+        """Should this load use the InvisiSpec invisible path?
+
+        Under INVISISPEC_SPECTRE a load is shadowed when an older branch
+        is unresolved.  That is read here, not stored at issue: the load
+        reaches this point inside its own execute, and no branch can
+        resolve in between.
+        """
         defense = self.config.defense
-        if defense is DefenseMode.INVISISPEC_FUTURISTIC:
+        if defense is _INVISISPEC_FUTURISTIC:
             entry.invisible = True
-        elif defense is DefenseMode.INVISISPEC_SPECTRE and entry.under_shadow:
+        elif defense is _INVISISPEC_SPECTRE:
+            ub = self.unresolved_branches
+            if not ub or ub[0].seq >= entry.seq:
+                return False   # (a RET is a load and may be ub[0] itself)
             entry.invisible = True
         else:
             return False
@@ -962,34 +944,43 @@ class O3Core:
     # ------------------------------------------------------------------ dispatch
 
     def _dispatch(self, cycle):
+        """Rename and dispatch up to fetch_width fetched instructions.
+
+        The burst size is known up front: it stops at the width, at an
+        empty fetch buffer, or at a full ROB or IQ (the ROB is tested
+        first), and nothing in the burst frees a slot.  A stopped burst
+        counts one full event, as the per-entry loop of the reference
+        does, and a cycle with a full ROB or IQ returns before any of
+        the loop's set-up.
+        """
         fetch_buffer = self.fetch_buffer
         if not fetch_buffer:
             return
         config = self.config
         v = self.counters.values
-        by_seq = self.entries_by_seq
+        rob = self.rob
+        count = len(fetch_buffer)
+        if count > config.fetch_width:
+            count = config.fetch_width
+        rob_room = config.rob_entries - len(rob)
+        iq_room = config.iq_entries - self._iq_len
+        if rob_room < count or iq_room < count:
+            if rob_room <= iq_room:
+                count = rob_room
+                v[_C_ROB_FULLEVENTS] += 1
+            else:
+                count = iq_room
+                v[_C_IQ_FULLEVENTS] += 1
+            v[_C_RENAME_BLOCKCYCLES] += 1
+            if not count:
+                return
         rename_map = self.rename_map
         arch_regs = self.arch_regs
-        rob = self.rob
         ready = self._ready
         unresolved = self.unresolved_branches
-        width = config.fetch_width
-        rob_cap = config.rob_entries
-        iq_cap = config.iq_entries
-        rob_len = len(rob)          # maintained locally: len() is per-burst
-        waiting_len = self._iq_len  # hoisted; written back after the loop
         new_entry = RobEntry.__new__
-        dispatched = 0
         seq = self.next_seq         # hoisted; written back after the loop
-        while fetch_buffer and dispatched < width:
-            if rob_len >= rob_cap:
-                v[_C_ROB_FULLEVENTS] += 1
-                v[_C_RENAME_BLOCKCYCLES] += 1
-                break
-            if waiting_len >= iq_cap:
-                v[_C_IQ_FULLEVENTS] += 1
-                v[_C_RENAME_BLOCKCYCLES] += 1
-                break
+        for _ in range(count):
             pc, inst, ptaken, ptarget = fetch_buffer.popleft()
             # inline of RobEntry.__init__ (the constructor stays canonical
             # for the reference core; the equivalence suite pins the two)
@@ -1004,18 +995,12 @@ class O3Core:
             entry.needs_expose = False
             entry.predicted_taken = ptaken
             entry.predicted_target = ptarget
-            is_load = inst.is_load
-            is_store = inst.is_store
-            entry.is_load = is_load
-            entry.is_store = is_store
-            entry.is_branch = inst.is_branch
-            entry.is_cond_branch = inst.is_cond_branch
-            if is_load:
+            if inst.is_load:
                 entry.addr = None
                 entry.forwarded_from = None
                 entry.read_memory = False
                 entry.invisible = False
-            elif is_store:
+            elif inst.is_store:
                 entry.addr = None
                 entry.store_value = None
             # Eager operand capture (see RobEntry): a value is final as
@@ -1064,12 +1049,8 @@ class O3Core:
                 rename_map[rd] = entry
                 v[_C_RENAME_COMMITTEDMAPS] += 1
             rob.append(entry)
-            rob_len += 1
-            by_seq[seq] = entry
-            waiting_len += 1
             if pending == 0:
-                # inline of _note_ready: dispatch appends in seq order
-                ready.append(entry)
+                ready.append(entry)     # an issue candidate, in seq order
             flags = inst.disp_flags   # 0 for plain ALU ops: skip it all
             if flags:
                 if flags & 1:
@@ -1086,18 +1067,16 @@ class O3Core:
                     else:
                         self.lfences.append(entry)
                     v[_C_RENAME_SERIALIZING] += 1
-            dispatched += 1
             seq += 1
         self.next_seq = seq
-        self._iq_len = waiting_len
-        if dispatched:
-            # batched: no sampler snapshot can occur between dispatches
-            # (the sampler only reads counters inside _commit), so bumping
-            # once per burst is observationally identical
-            v[_C_DECODE_INSTS] += dispatched
-            v[_C_RENAME_RENAMED] += dispatched
-            v[_C_IQ_INSTSADDED] += dispatched
-            v[_C_ROB_READS] += dispatched
+        self._iq_len += count
+        # batched: no sampler snapshot can occur between dispatches (the
+        # sampler only reads counters inside _commit), so bumping once per
+        # burst is observationally identical
+        v[_C_DECODE_INSTS] += count
+        v[_C_RENAME_RENAMED] += count
+        v[_C_IQ_INSTSADDED] += count
+        v[_C_ROB_READS] += count
 
     # ------------------------------------------------------------------ fetch
 

@@ -126,13 +126,17 @@ class Machine:
         cpu = self.cpu
         actors = self.actors
         wall_start = time.perf_counter()
-        while not cpu.halted and self.cycle < max_cycles:
-            cpu.step(self.cycle)
+        # the loop keeps the cycle in a local; ``self.cycle`` (read by the
+        # sampler hook and the actors) is stored once per cycle
+        cycle = self.cycle
+        while not cpu.halted and cycle < max_cycles:
+            cpu.step(cycle)
             if actors and not self.actors_suspended:
                 for actor in actors:
-                    if self.cycle % actor.period == 0:
-                        actor.tick(self, self.cycle)
-            self.cycle += 1
+                    if cycle % actor.period == 0:
+                        actor.tick(self, cycle)
+            cycle += 1
+            self.cycle = cycle
         self.sampler.flush(cpu.committed, self.cycle)
         self._record_run_observations(time.perf_counter() - wall_start)
         return self._result()

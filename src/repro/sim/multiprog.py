@@ -78,15 +78,19 @@ class TimeSharedMachine:
         Nominal cycles per time slice (the drain may add a few).
     switch_overhead:
         Fixed extra cycles charged per context switch (kernel work).
+    core_cls:
+        Passed to the :class:`~repro.sim.machine.Machine` (the
+        equivalence tests run the reference core through it).
     """
 
     def __init__(self, program_a, program_b, config=None, slice_cycles=3000,
                  switch_overhead=50, sample_period=1000, actors=None,
-                 detector_hook=None):
+                 detector_hook=None, core_cls=None):
         self.machine = Machine(program_a,
                                config if config is not None else SimConfig(),
                                sample_period=sample_period, actors=actors,
-                               detector_hook=detector_hook)
+                               detector_hook=detector_hook,
+                               core_cls=core_cls)
         self.slice_cycles = slice_cycles
         self.switch_overhead = switch_overhead
         self.contexts = [Context(program=program_a),
@@ -393,18 +397,20 @@ class SMTMachine:
         cores = self.cores
         actors = machine.actors
         wall_start = time.perf_counter()
-        while machine.cycle < max_cycles:
-            core = cores[machine.cycle & 1]
+        cycle = machine.cycle          # stored back once per cycle
+        while cycle < max_cycles:
+            core = cores[cycle & 1]
             if core.halted:
-                core = cores[1 - (machine.cycle & 1)]
+                core = cores[1 - (cycle & 1)]
                 if core.halted:
                     break
-            core.step(machine.cycle)
+            core.step(cycle)
             if actors and not machine.actors_suspended:
                 for actor in actors:
-                    if machine.cycle % actor.period == 0:
-                        actor.tick(machine, machine.cycle)
-            machine.cycle += 1
+                    if cycle % actor.period == 0:
+                        actor.tick(machine, cycle)
+            cycle += 1
+            machine.cycle = cycle
         committed = cores[0].committed + cores[1].committed
         machine.sampler.flush(committed, machine.cycle)
         both_halted = cores[0].halted and cores[1].halted

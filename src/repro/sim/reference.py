@@ -6,9 +6,19 @@ the seed simulator verbatim: per-cycle operand scans in ``_sources_ready``,
 executions in ``_complete``, and full-ROB walks for memory-order checks.
 The optimized :class:`~repro.sim.cpu.O3Core` replaces those with wakeup
 lists, a completion heap and ordered-head checks — and must stay
-**counter-stream bit-identical** to this class.  The contract is enforced
-by ``tests/sim/test_counter_equivalence.py`` and the bit-exactness harness
-in ``scripts/bench_sim.py``; select this core with::
+**counter-stream bit-identical** to this class.
+
+The bookkeeping only this scheduler reads lives here, not on the fast
+core: the ``entries_by_seq`` index behind the lazy operand links, the
+``waiting`` IQ list, the ``executing`` list, and the ``under_shadow``
+flag stored at issue.  A fast-path read of any of them fails with an
+``AttributeError``.  :meth:`ReferenceO3Core.step` calls every stage every
+cycle, where the fast core calls a stage only when its first test
+passes.
+
+The contract is enforced by ``tests/sim/test_counter_equivalence.py`` and
+the bit-exactness harness in ``scripts/bench_sim.py``; select this core
+with::
 
     Machine(program, config, core_cls=ReferenceO3Core)
 
@@ -29,6 +39,60 @@ from repro.sim.rob import EntryState, RobEntry
 
 class ReferenceO3Core(O3Core):
     """Seed scheduler: correct, simple, O(in-flight) scans per cycle."""
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self.entries_by_seq = {}   # seq -> in-flight entry (operand links)
+        self.waiting = []          # DISPATCHED, in dispatch order (the IQ)
+        self.executing = []        # EXECUTING, scanned by _complete
+
+    def step(self, cycle):
+        """Seed cycle loop: every stage, every cycle."""
+        self.cycle = cycle
+        self.ports.new_cycle()
+        self.counters.bump("cpu.numCycles")
+        committed_before = self.committed
+        self._commit(cycle)
+        if self.committed == committed_before:
+            self.counters.bump("cpu.idleCycles")
+        if self.halted:
+            return
+        self._complete(cycle)
+        self._issue(cycle)
+        self._dispatch(cycle)
+        self._fetch(cycle)
+        if not self.rob and not self.fetch_buffer:
+            insts = self.m.program.instructions
+            if not 0 <= self.fetch_pc < len(insts):
+                self.halted = True
+                self.halt_reason = "end-of-program"
+
+    def _commit(self, cycle):
+        """Commit, then drop the retired entries from the seq index.
+
+        Nothing reads the index inside a commit burst, so dropping them
+        after it is exact.  Retired entries left from the ROB head, so
+        their seqs lie below the new head's (squashed seqs in between
+        are already gone).
+        """
+        rob = self.rob
+        first = rob[0].seq if rob else None
+        super()._commit(cycle)
+        if first is not None:
+            by_seq = self.entries_by_seq
+            for seq in range(first, rob[0].seq if rob else self.next_seq):
+                by_seq.pop(seq, None)
+
+    def _remove_entry(self, entry):
+        self.entries_by_seq.pop(entry.seq, None)
+        if entry.state is EntryState.DISPATCHED:
+            self.waiting.remove(entry)
+        elif entry.state is EntryState.EXECUTING:
+            try:
+                self.executing.remove(entry)
+            except ValueError:
+                pass
+        super()._remove_entry(entry)
 
     # -- rename: operand links in a dict, resolved lazily at execute --------
 
@@ -76,9 +140,9 @@ class ReferenceO3Core(O3Core):
             self.rob.append(entry)
             by_seq[seq] = entry
             self.waiting.append(entry)
-            if entry.is_store:
+            if inst.is_store:
                 self.store_entries.append(entry)
-            if entry.is_load:
+            if inst.is_load:
                 self.load_entries.append(entry)
             if inst.is_shadowing:
                 self.unresolved_branches.append(entry)
@@ -124,7 +188,6 @@ class ReferenceO3Core(O3Core):
         this point (the optimized core reads the captured v1/v2 slots and
         pushes straight onto its completion heap)."""
         entry.state = EntryState.EXECUTING
-        entry.issue_cycle = cycle
         entry.under_shadow = any(b.seq < entry.seq
                                  for b in self.unresolved_branches)
         self.waiting.remove(entry)
@@ -153,7 +216,7 @@ class ReferenceO3Core(O3Core):
             self.counters.bump("cpu.rdtscReads")
             latency = 1
         entry.done_cycle = cycle + (latency if latency > 1 else 1)
-        self._note_executing(entry)
+        self.executing.append(entry)
 
     def _execute_alu(self, entry):
         inst = entry.inst
@@ -190,15 +253,19 @@ class ReferenceO3Core(O3Core):
             entry.result = v1
         return inst.exec_latency
 
-    # -- execution bookkeeping: flat list instead of a heap -----------------
+    def _invisible(self, entry):
+        """Seed form: reads the shadow flag stored at issue."""
+        defense = self.config.defense
+        if defense is DefenseMode.INVISISPEC_FUTURISTIC:
+            entry.invisible = True
+        elif defense is DefenseMode.INVISISPEC_SPECTRE and entry.under_shadow:
+            entry.invisible = True
+        else:
+            return False
+        entry.needs_expose = True
+        return True
 
-    def _note_executing(self, entry):
-        self.executing.append(entry)
-
-    def _note_ready(self, entry):
-        # no ready list: the reference _issue rescans `waiting` each cycle
-        # (and its _complete bypasses _mark_done, so the list would leak)
-        pass
+    # -- completion: a sort over the flat executing list --------------------
 
     def _complete(self, cycle):
         finished = sorted((e for e in self.executing if e.done_cycle <= cycle),
@@ -211,7 +278,7 @@ class ReferenceO3Core(O3Core):
                 self.executing.remove(entry)
             except ValueError:
                 pass
-            if entry.is_branch:
+            if entry.inst.is_branch:
                 self._resolve_branch(entry, cycle)
 
     # -- readiness: per-entry operand scans ---------------------------------
@@ -241,7 +308,7 @@ class ReferenceO3Core(O3Core):
                 continue
             if not self.ports.try_issue(entry.inst.op):
                 self.counters.bump("iq.conflicts")
-                if entry.is_load:
+                if entry.inst.is_load:
                     self.counters.bump("lsq.cacheBlocked")
                 continue
             self._execute(entry, cycle)
@@ -256,15 +323,16 @@ class ReferenceO3Core(O3Core):
         if any(f.seq < seq for f in self.fences):
             return False
         # LFENCE holds younger loads.
-        if entry.is_load and any(f.seq < seq for f in self.lfences):
+        is_load = entry.inst.is_load
+        if is_load and any(f.seq < seq for f in self.lfences):
             return False
         if defense is DefenseMode.FENCE_SPECTRE:
             if self._has_older_unresolved_branch(seq):
                 return False
         elif defense is DefenseMode.FENCE_FUTURISTIC:
-            if entry.is_load and self._has_older_incomplete(entry):
+            if is_load and self._has_older_incomplete(entry):
                 return False
-        if entry.is_load:
+        if is_load:
             return self._load_may_issue(entry)
         return True
 
@@ -288,7 +356,7 @@ class ReferenceO3Core(O3Core):
         that speculatively read stale memory (Spectre-STL discovery)."""
         word = store.addr - (store.addr % WORD_BYTES)
         for entry in self.rob:
-            if entry.seq <= store.seq or not entry.is_load:
+            if entry.seq <= store.seq or not entry.inst.is_load:
                 continue
             if entry.state is EntryState.DISPATCHED or entry.addr is None:
                 continue

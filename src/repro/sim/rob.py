@@ -35,15 +35,16 @@ class RobEntry:
     The reference scheduler instead keeps the seed's ``sources`` dict —
     register -> ``("val", value)`` | ``("rob", seq)`` — resolved lazily at
     execute; the slot is left unset here and created by its dispatch.
+    Classification flags (``is_load``, ``is_branch``, ...) are read from
+    ``inst``, which precomputes them.
     """
 
     __slots__ = (
         "seq", "pc", "inst", "state", "sources", "v1", "v2", "waiters",
-        "result", "done_cycle", "fault", "addr", "store_value", "is_load",
-        "is_store", "is_branch", "is_cond_branch", "predicted_taken",
-        "predicted_target", "actual_taken", "actual_target",
+        "result", "done_cycle", "fault", "addr", "store_value",
+        "predicted_taken", "predicted_target", "actual_taken", "actual_target",
         "forwarded_from", "read_memory", "invisible", "needs_expose",
-        "issue_cycle", "under_shadow", "pending_sources",
+        "under_shadow", "pending_sources",
     )
 
     def __init__(self, seq, pc, inst, predicted_taken=None,
@@ -58,28 +59,21 @@ class RobEntry:
         self.needs_expose = False
         self.predicted_taken = predicted_taken
         self.predicted_target = predicted_target
-        # classification flags precomputed by Instruction.__post_init__
-        is_load = inst.is_load
-        is_store = inst.is_store
-        self.is_load = is_load
-        self.is_store = is_store
-        self.is_branch = inst.is_branch
-        self.is_cond_branch = inst.is_cond_branch
         # Kind-specific fields are only initialized where some reader can
         # reach them before the execute stage assigns them:
         #   loads  — addr/forwarded_from/read_memory/invisible are read by
         #            the memory-order check and squash accounting,
         #   stores — addr/store_value are scanned by the forwarding and
         #            dependence logic while the store is still DISPATCHED.
-        # done_cycle / issue_cycle / under_shadow / actual_taken /
+        # done_cycle / under_shadow (reference core only) / actual_taken /
         # actual_target are assigned at issue/execute before any read;
         # v1/v2/pending_sources are assigned at dispatch.
-        if is_load:
+        if inst.is_load:
             self.addr = None
             self.forwarded_from = None
             self.read_memory = False
             self.invisible = False
-        elif is_store:
+        elif inst.is_store:
             self.addr = None
             self.store_value = None
 

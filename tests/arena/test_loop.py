@@ -1,7 +1,8 @@
-"""The arms-race loop: clean runs, the files a clean race replaces,
-bit-identical crash-resume, hole classification (worker kills, diverged
-retrains, corrupt checkpoints, gate rollbacks), elites scored from their
-previous evaluation, and the fatal-error contract."""
+"""The arms-race loop: clean runs, the files a clean race replaces and
+a finished race's resume writes, bit-identical crash-resume, hole
+classification (worker kills, diverged retrains, corrupt checkpoints,
+gate rollbacks), elites scored from their previous evaluation, and the
+fatal-error contract."""
 
 import json
 import os
@@ -183,6 +184,45 @@ class TestWrites:
                            str(tmp_path / "race"), processes=1)
         assert result.exit_code == 0
         assert sorted(replaced) == ["arena.json", "arena.md"]
+
+    def test_a_finished_race_resumed_writes_only_its_ledger(
+            self, clean, tmp_path, monkeypatch):
+        """A finished race has no generation left, so its resume writes
+        no start ledger and reproduces ``arena.md`` and
+        ``detector.json`` byte for byte: it leaves them alone and makes
+        at most one write, ``arena.json`` (its run id and elapsed time
+        can change).  A deleted ``detector.json`` is written again."""
+        spec, clean_dir, _ = clean
+        directory = str(tmp_path / "race")
+        shutil.copytree(clean_dir, directory)
+        written = []
+        real_replace = atomic.os.replace
+
+        def recording_replace(src, dst):
+            written.append(os.path.basename(dst))
+            real_replace(src, dst)
+        monkeypatch.setattr(atomic.os, "replace", recording_replace)
+
+        def writes():
+            timers = metrics().snapshot()["timers"]
+            return timers.get("runtime.atomic_write.seconds",
+                              {}).get("count", 0)
+
+        before = writes()
+        assert run_arena(spec, directory, resume=True).exit_code == 0
+        assert writes() - before <= 1
+        assert set(written) <= {"arena.json"}
+
+        os.remove(os.path.join(directory, "detector.json"))
+        del written[:]
+        before = writes()
+        assert run_arena(spec, directory, resume=True).exit_code == 0
+        assert writes() - before <= 2
+        assert "detector.json" in written
+        assert set(written) <= {"arena.json", "detector.json"}
+        for name in ("arena.md", "detector.json"):
+            assert read(os.path.join(directory, name)) \
+                == read(os.path.join(clean_dir, name))
 
 
 class TestResume:

@@ -10,23 +10,26 @@ require identical sampler delta streams, final counter snapshots, cycle
 counts, committed counts and halt reasons.  The full matrix (all defense
 modes on both benign and attack programs) lives in
 ``scripts/bench_sim.py``; this suite keeps the fast representative slice
-in tier-1.
+in tier-1, including campaign cell shapes with their actors and the
+time-shared drain and context switch.
 """
 
 import pytest
 
 from repro.attacks import ATTACKS_BY_NAME
+from repro.attacks.extensions import CrossContextFlushReload
 from repro.sim import Machine, ProgramBuilder, SimConfig
 from repro.sim.config import DefenseMode
 from repro.sim.cpu import O3Core
+from repro.sim.multiprog import TimeSharedMachine
 from repro.sim.reference import ReferenceO3Core
 from repro.workloads import WORKLOAD_BUILDERS
 
 
 def _counter_stream(core_cls, program, config, sample_period=500,
-                    max_cycles=60_000):
+                    max_cycles=60_000, actors=None):
     machine = Machine(program, config, sample_period=sample_period,
-                      core_cls=core_cls)
+                      actors=actors, core_cls=core_cls)
     machine.run(max_cycles=max_cycles)
     return _stream_of(machine)
 
@@ -47,6 +50,10 @@ def _stream_of(machine):
 def _assert_bit_identical(program, config, **kwargs):
     reference = _counter_stream(ReferenceO3Core, program, config, **kwargs)
     optimized = _counter_stream(O3Core, program, config, **kwargs)
+    _assert_same_stream(reference, optimized)
+
+
+def _assert_same_stream(reference, optimized):
     # compare field by field so a failure names what diverged
     for key, expected in reference.items():
         assert optimized[key] == expected, f"{key} diverged from reference"
@@ -71,6 +78,54 @@ def test_attacks_bit_identical(attack):
 def test_defense_modes_bit_identical(mode):
     program, _ = ATTACKS_BY_NAME["spectre-pht"]().build()
     _assert_bit_identical(program, SimConfig(defense=mode))
+
+
+def _campaign_cell(source):
+    """A campaign cell's program and actors, built fresh: actors keep
+    state, so each core gets its own."""
+    if source in ATTACKS_BY_NAME:
+        return ATTACKS_BY_NAME[source](seed=1).build()
+    return WORKLOAD_BUILDERS[source](scale=2, seed=1), []
+
+
+@pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("source", ["stream", "flush-reload"])
+def test_campaign_cells_bit_identical(source, mode):
+    """Campaign cells as perfbench runs them (period 100, scale 2, a
+    40k-cycle cap, single tenancy) under every defense, with the
+    attack's actors: flush-reload's victim actor runs beside it."""
+    streams = []
+    for core_cls in (ReferenceO3Core, O3Core):
+        program, actors = _campaign_cell(source)
+        streams.append(_counter_stream(
+            core_cls, program, SimConfig(defense=mode), sample_period=100,
+            max_cycles=40_000, actors=actors))
+    _assert_same_stream(*streams)
+
+
+def test_time_shared_bit_identical():
+    """The context-switch path: the pipeline drain (``_drain``), the
+    fetch restart of ``_load_context`` and the switch overhead, on
+    CrossContextFlushReload's attacker and victim at the attack's own
+    slice settings (``CrossContextFlushReload.run``)."""
+    def run(core_cls):
+        attack = CrossContextFlushReload()
+        attacker, _ = attack.build()
+        tsm = TimeSharedMachine(attacker, attack.build_victim(),
+                                slice_cycles=1200, switch_overhead=40,
+                                sample_period=100, core_cls=core_cls)
+        contexts = tsm.run(max_cycles=attack.max_cycles())
+        stream = _stream_of(tsm.machine)
+        stream["machine_cycle"] = tsm.machine.cycle
+        stream["switches"] = tsm.switches
+        stream["contexts"] = tuple(
+            (c.committed, c.halted, c.halt_reason, tuple(c.regs))
+            for c in contexts)
+        return stream
+    reference = run(ReferenceO3Core)
+    assert reference["switches"] > 10
+    assert all(c[0] > 0 for c in reference["contexts"])
+    _assert_same_stream(reference, run(O3Core))
 
 
 def test_no_stl_speculation_bit_identical():
