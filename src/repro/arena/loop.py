@@ -384,11 +384,11 @@ def run_arena(spec, directory, *, processes=None, retries=1,
               spec_fingerprint=spec.fingerprint[:12])
 
     # the latest valid generation checkpoint a resume restores from
-    claimed, valid, restore_gen = {}, set(), None
+    claimed, valid, restore_gen = {}, {}, None
     if resume:
         claimed = {g: f"gen-{g}" for g in range(spec.generations + 1)
                    if store.has(f"gen-{g}")}
-        valid = set(store.valid_keys())
+        valid = dict(store.verified())
         restore_gen = max((g for g in claimed if claimed[g] in valid),
                           default=None)
 
@@ -423,7 +423,7 @@ def run_arena(spec, directory, *, processes=None, retries=1,
             obs_event("arena.hole", level="error", generation=g,
                       kind=CHECKPOINT_CORRUPT, key=claimed[g])
         if restore_gen is not None:
-            payload = store.get(f"gen-{restore_gen}")
+            payload = valid[f"gen-{restore_gen}"]
             population = payload["population"]
             incumbent = detector_from_dict(payload["detector"])
             rng.bit_generator.state = payload["rng_state"]

@@ -58,6 +58,9 @@ class AMGAN:
         self.discriminator = MLP([disc_in, 1], ["sigmoid"], seed=seed + 1,
                                  optimizer=Adam(lr=0.002))
         self.style_history = []
+        # (category, target, batch) -> the feature-matching step's
+        # condition matrix, a constant of the pair
+        self._match_conditions = {}
 
     def _disc_input(self, x, cond):
         """[x, cond, x (x) cond]: the widened single-layer input."""
@@ -78,11 +81,11 @@ class AMGAN:
         vec[-1] = float(target)
         return vec
 
-    def _conditions(self, categories, targets):
-        """One :meth:`condition` row per (category, target) pair."""
+    def _conditions(self, positions, targets):
+        """One :meth:`condition` row per window, from each window's
+        position in :attr:`categories` and its target bit."""
         cond = np.zeros((len(targets), self.cond_dim))
-        cond[np.arange(len(targets)),
-             [self.categories.index(c) for c in categories]] = 1.0
+        cond[np.arange(len(targets)), positions] = 1.0
         cond[:, -1] = targets
         return cond
 
@@ -131,6 +134,8 @@ class AMGAN:
             class_means[key] = X[mask].mean(axis=0)
             class_second_moments[key] = (X[mask] ** 2).mean(axis=0)
         class_keys = sorted(class_means)
+        positions = np.array([self.categories.index(c)
+                              for c in categories.tolist()])
         reg = metrics()
         loss_real = reg.gauge("amgan.loss.disc_real")
         loss_mismatch = reg.gauge("amgan.loss.disc_mismatch")
@@ -149,7 +154,9 @@ class AMGAN:
                     guard.snapshot_if_due(iteration)
                 idx = self.rng.integers(0, n, size=batch_size)
                 real_x = X[idx]
-                real_c = self._conditions(categories[idx], targets[idx])
+                # the batch's conditions: real, generated and generator
+                # pairs all use these rows
+                real_c = self._conditions(positions[idx], targets[idx])
                 # --- discriminator: real matching pairs -> 1
                 loss_real.set(self.discriminator.train_batch(
                     self._disc_input(real_x, real_c),
@@ -163,13 +170,12 @@ class AMGAN:
                     self._disc_input(real_x, mismatched_c),
                     1.0 - changed.astype(float)))
                 # --- discriminator: generated pairs -> 0
-                fake_x, fake_c = self._generate_batch(categories[idx],
-                                                      targets[idx])
+                fake_x = self._generate_batch(real_c)
                 loss_fake.set(self.discriminator.train_batch(
-                    self._disc_input(fake_x, fake_c),
+                    self._disc_input(fake_x, real_c),
                     np.zeros((batch_size, 1))))
                 # --- generator: fool the discriminator (target 1)
-                self._train_generator(categories[idx], targets[idx])
+                self._train_generator(real_c)
                 # --- generator: per-class feature matching (a few classes
                 # per iteration, round-robin)
                 for k in range(3):
@@ -228,14 +234,11 @@ class AMGAN:
                               payload["extra"].get("style_history", [])]
         return payload["iteration"], payload
 
-    def _generate_batch(self, categories, targets):
-        cond = self._conditions(categories, targets)
+    def _generate_batch(self, cond):
         noise = self.rng.normal(0.0, 1.0, size=(len(cond), self.noise_dim))
-        fake = self.generator.predict(np.hstack([noise, cond]))
-        return fake, cond
+        return self.generator.predict(np.hstack([noise, cond]))
 
-    def _train_generator(self, categories, targets):
-        cond = self._conditions(categories, targets)
+    def _train_generator(self, cond):
         noise = self.rng.normal(0.0, 1.0, size=(len(cond), self.noise_dim))
         gen_in = np.hstack([noise, cond])
         fake = self.generator.forward(gen_in, train=True)
@@ -244,13 +247,15 @@ class AMGAN:
         # non-saturating generator loss: maximize log D(G(z))
         target = np.ones_like(pred)
         grad_out = self.discriminator.loss.gradient(pred, target)
+        # the discriminator's backward also writes its weight gradients,
+        # which a TrainingGuard inspects
         grad_d_in = self.discriminator.backward(grad_out)
         # dL/dx flows through both the raw block and the interaction block
         d, c = self.feature_dim, self.cond_dim
         grad_fake = grad_d_in[:, :d].copy()
         grad_interact = grad_d_in[:, d + c:].reshape(len(fake), d, c)
         grad_fake += (grad_interact * cond[:, None, :]).sum(axis=2)
-        self.generator.backward(grad_fake)
+        self.generator._backward_params(grad_fake)
         self.generator.step()
 
     def _feature_match_step(self, category, target, real_mean,
@@ -260,7 +265,11 @@ class AMGAN:
         toward the real class moments — this keeps sparse class-signature
         counters (traps, RAS mispredicts, ...) alive in the output and
         matches the Gram diagonal the style metric scores."""
-        cond = np.vstack([self.condition(category, target)] * batch)
+        key = (category, target, batch)
+        cond = self._match_conditions.get(key)
+        if cond is None:
+            cond = self._match_conditions[key] = np.vstack(
+                [self.condition(category, target)] * batch)
         noise = self.rng.normal(0.0, 1.0, size=(batch, self.noise_dim))
         gen_in = np.hstack([noise, cond])
         fake = self.generator.forward(gen_in, train=True)
@@ -269,7 +278,7 @@ class AMGAN:
         if real_second_moment is not None:
             m2_err = (fake ** 2).mean(axis=0) - real_second_moment
             grad = grad + weight * 4.0 * fake * m2_err[None, :] / batch
-        self.generator.backward(grad)
+        self.generator._backward_params(grad)
         self.generator.step()
 
     def _mean_style_loss(self, style_reference):

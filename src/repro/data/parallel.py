@@ -91,14 +91,17 @@ def build_dataset_resilient(attacks, workloads, config=None,
         processes = max(1, min(len(tasks) or 1, (os.cpu_count() or 2)))
 
     store = None
-    done = set()
+    restored = {}               # task key -> records of its verified shard
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
         store.open(context={"sample_period": sample_period,
                             "tenancy": tenancy,
                             "keys": [t.key for t in tasks]},
                    resume=resume)
-        done = set(store.valid_keys()) & {t.key for t in tasks}
+        keys = {t.key for t in tasks}
+        restored = {key: [record_from_dict(r) for r in data["records"]]
+                    for key, data in store.verified() if key in keys}
+    done = set(restored)
 
     dataset = Dataset(sample_period=sample_period)
     report = FailureReport(total=len(tasks), skipped=len(done))
@@ -111,12 +114,10 @@ def build_dataset_resilient(attacks, workloads, config=None,
             [t for t in tasks if t.key not in done])) as results:
         for task in tasks:
             if task.key in done:
-                payload = store.get(task.key)
-                restored = [record_from_dict(r)
-                            for r in payload["records"]]
-                dataset.extend(restored)
+                records = restored.pop(task.key)
+                dataset.extend(records)
                 reg.inc("data.sources.restored")
-                reg.inc("data.records", len(restored))
+                reg.inc("data.records", len(records))
                 continue
             outcome = next(results)
             if outcome.ok:

@@ -142,12 +142,18 @@ class Dense:
 
     def backward(self, grad_out):
         """Backpropagate ``dL/dy``; stores dL/dW, dL/db, returns dL/dx."""
+        return self._param_grads(grad_out) @ self.weights.T
+
+    def _param_grads(self, grad_out):
+        """Store dL/dW and dL/db for ``dL/dy``; returns ``dL/dz``.  A
+        network's first layer stops here when its caller has no use for
+        dL/dx (:meth:`repro.ml.network.MLP._backward_params`)."""
         if self._x is None:
             raise RuntimeError("backward() called before forward(train=True)")
         dz = grad_out * self._act_grad(self._z, self._y)
         np.matmul(self._x.T, dz, out=self.grad_weights)
         dz.sum(axis=0, out=self.grad_bias)
-        return dz @ self.weights.T
+        return dz
 
     def bind(self, params, grads, offset):
         """Re-home ``weights``, ``bias`` and their gradients as views into

@@ -37,7 +37,8 @@ class MLP:
     seed:
         Seed for weight initialization.
     loss:
-        Loss object with ``value``/``gradient``; defaults to BCE.
+        Loss object with ``value_and_gradient`` (and its ``value`` /
+        ``gradient`` halves, :mod:`repro.ml.losses`); defaults to BCE.
     optimizer:
         Optimizer with ``step(params, grads)``; defaults to Adam.
     """
@@ -73,8 +74,20 @@ class MLP:
 
     def backward(self, grad_out):
         """Backpropagate an output gradient; returns the input gradient."""
+        return self.layers[0].backward(self._backward_upper(grad_out))
+
+    def _backward_params(self, grad_out):
+        """:meth:`backward` for a caller that drops the input gradient:
+        the first layer stores its parameter gradients and skips its
+        ``dz @ W.T``, a batch x input-width product (3,349 wide for the
+        AM-GAN discriminator)."""
+        self.layers[0]._param_grads(self._backward_upper(grad_out))
+
+    def _backward_upper(self, grad_out):
+        """Backpropagate through every layer but the first; returns the
+        first layer's output gradient."""
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
         return grad
 
@@ -90,8 +103,8 @@ class MLP:
         if target.ndim == 1:
             target = target[:, None]
         pred = self.forward(x, train=True)
-        loss_value = self.loss.value(pred, target)
-        self.backward(self.loss.gradient(pred, target))
+        loss_value, grad_out = self.loss.value_and_gradient(pred, target)
+        self._backward_params(grad_out)
         self.step()
         _OBS_BATCHES.inc()
         _OBS_LOSS.set(loss_value)

@@ -17,13 +17,15 @@ detector fitting.  Three pieces, documented in
   garbage detector.
 * state capture/restore helpers — bit-exact serialization of MLP
   parameters, optimizer state (Adam moments / SGD velocity) and numpy
-  Generator state, JSON-able for durable checkpoints.
+  Generator state, JSON-able for durable checkpoints (each float64
+  vector as base64 of its little-endian bytes).
 * :class:`TrainingCheckpointer` — periodic atomic snapshots of every
   network + RNG in a training loop via
   :class:`repro.runtime.checkpoint.CheckpointStore`, so a killed
   ``repro train`` resumes bit-exact instead of restarting from scratch.
 """
 
+import base64
 import math
 
 import numpy as np
@@ -74,20 +76,33 @@ class TrainingDivergedError(RuntimeError):
 # state capture / restore
 # ---------------------------------------------------------------------------
 
+def _pack(vector):
+    """A float64 vector as base64 text of its little-endian bytes: every
+    bit kept, NaN payloads and -0.0 included."""
+    return base64.b64encode(
+        np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(text):
+    """The writable float64 vector :func:`_pack` encoded."""
+    return np.frombuffer(base64.b64decode(text, validate=True),
+                         dtype="<f8").astype(np.float64)
+
+
 def optimizer_state(optimizer):
     """JSON-able state of an :class:`~repro.ml.optim.Adam` or
-    :class:`~repro.ml.optim.SGD` optimizer (exact float round-trip)."""
+    :class:`~repro.ml.optim.SGD` optimizer (bit-exact round-trip)."""
     name = type(optimizer).__name__.lower()
     if hasattr(optimizer, "_m"):
         return {
             "kind": name,
             "t": optimizer._t,
-            "m": {str(i): v.tolist() for i, v in optimizer._m.items()},
-            "v": {str(i): v.tolist() for i, v in optimizer._v.items()},
+            "m": {str(i): _pack(v) for i, v in optimizer._m.items()},
+            "v": {str(i): _pack(v) for i, v in optimizer._v.items()},
         }
     return {
         "kind": name,
-        "velocity": {str(i): v.tolist()
+        "velocity": {str(i): _pack(v)
                      for i, v in getattr(optimizer, "_velocity", {}).items()},
     }
 
@@ -96,37 +111,37 @@ def set_optimizer_state(optimizer, state):
     """Restore an optimizer from :func:`optimizer_state` output."""
     if "t" in state:
         optimizer._t = state["t"]
-        optimizer._m = {int(i): np.array(v) for i, v in state["m"].items()}
-        optimizer._v = {int(i): np.array(v) for i, v in state["v"].items()}
+        optimizer._m = {int(i): _unpack(v) for i, v in state["m"].items()}
+        optimizer._v = {int(i): _unpack(v) for i, v in state["v"].items()}
     else:
-        optimizer._velocity = {int(i): np.array(v)
+        optimizer._velocity = {int(i): _unpack(v)
                                for i, v in state.get("velocity", {}).items()}
 
 
 def mlp_state(mlp):
-    """JSON-able snapshot of an :class:`~repro.ml.network.MLP`:
-    layer weights/biases plus optimizer state.  ``tolist`` round-trips
-    float64 exactly, so restore is bit-exact."""
+    """JSON-able snapshot of an :class:`~repro.ml.network.MLP`: its
+    layers' weight shapes, its flat :attr:`~repro.ml.network.MLP.param_vector`
+    and its optimizer state.  Every vector is stored as its exact bytes
+    (:func:`_pack`), so restore is bit-exact."""
     return {
-        "layers": [{"weights": layer.weights.tolist(),
-                    "bias": layer.bias.tolist()}
-                   for layer in mlp.layers],
+        "shapes": [list(layer.weights.shape) for layer in mlp.layers],
+        "params": _pack(mlp.param_vector),
         "optimizer": optimizer_state(mlp.optimizer),
     }
 
 
 def set_mlp_state(mlp, state):
-    """Restore a network serialized by :func:`mlp_state` (shapes must
-    match the live network)."""
-    if len(state["layers"]) != len(mlp.layers):
+    """Restore a network serialized by :func:`mlp_state` in place
+    (layer count and weight shapes must match the live network)."""
+    if len(state["shapes"]) != len(mlp.layers):
         raise ValueError("layer count mismatch in training snapshot")
-    for layer, saved in zip(mlp.layers, state["layers"]):
-        weights = np.array(saved["weights"])
-        bias = np.array(saved["bias"])
-        if weights.shape != layer.weights.shape:
+    for layer, shape in zip(mlp.layers, state["shapes"]):
+        if tuple(shape) != layer.weights.shape:
             raise ValueError("weight shape mismatch in training snapshot")
-        layer.weights[:] = weights
-        layer.bias[:] = bias
+    params = _unpack(state["params"])
+    if params.shape != mlp.param_vector.shape:
+        raise ValueError("parameter count mismatch in training snapshot")
+    np.copyto(mlp.param_vector, params)
     set_optimizer_state(mlp.optimizer, state["optimizer"])
 
 
@@ -411,7 +426,9 @@ class TrainingGuard:
 #: layout of a stored training snapshot, kept in the checkpoint's context
 #: so resuming one written in another layout is refused up front.  2: one
 #: optimizer ``m``/``v`` (or velocity) list per network, not per array.
-CHECKPOINT_FORMAT = "repro.train-ckpt/2"
+#: 3: each network's flat parameter vector and each optimizer moment as
+#: base64 of its little-endian float64 bytes, not a JSON float list.
+CHECKPOINT_FORMAT = "repro.train-ckpt/3"
 
 
 class TrainingCheckpointer:
@@ -458,10 +475,15 @@ class TrainingCheckpointer:
 
     def load(self, stage):
         """The stored snapshot for ``stage``, or ``None`` when absent or
-        failing its checksum (only consulted on resume)."""
-        if not self.resume or stage not in set(self.store.valid_keys()):
+        failing its checksum (only consulted on resume).  Reads the
+        shard once."""
+        from repro.runtime.errors import CheckpointError
+        if not self.resume:
             return None
-        return self.store.get(stage)
+        try:
+            return self.store.get(stage)
+        except CheckpointError:
+            return None
 
     def restore(self, stage, networks, rngs=None):
         """Restore live networks/RNGs from the stored ``stage`` snapshot;

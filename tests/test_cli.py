@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import base64
 import shutil
 
 import numpy as np
@@ -144,9 +145,10 @@ def test_train_resume_context_mismatch_exits_2(tmp_path, capsys,
 
 def test_train_resume_refuses_previous_checkpoint_format(tmp_path, capsys,
                                                          small_dataset):
-    """A checkpoint in the per-array layout (optimizer moments stored per
-    weight and bias array, no format in its context) is refused with one
-    line and exit 2, not resumed into the flat-vector optimizer."""
+    """A checkpoint in format 2 (every parameter and optimizer moment a
+    JSON float list, ``repro.train-ckpt/2`` in its context) is refused
+    with one line and exit 2, not resumed into the binary-vector
+    layout."""
     from repro.data import load_dataset, save_dataset
     from repro.ml.resilience import TrainingCheckpointer
     from repro.runtime.checkpoint import CheckpointStore
@@ -160,15 +162,32 @@ def test_train_resume_refuses_previous_checkpoint_format(tmp_path, capsys,
     context = {"corpus_sha256": load_dataset(corpus).content_sha256,
                "seed": 0}
     payload = TrainingCheckpointer(ck, context, resume=True).load("gan")
-    for state in payload["networks"].values():
-        arrays = [np.asarray(a) for layer in state["layers"]
-                  for a in (layer["weights"], layer["bias"])]
-        for key in ("m", "v"):
-            state["optimizer"][key] = {str(i): np.zeros_like(a).tolist()
-                                       for i, a in enumerate(arrays)}
-    CheckpointStore(ck).open(context).put("gan", payload)
+    payload["networks"] = {name: _format_2_state(state)
+                           for name, state in payload["networks"].items()}
+    CheckpointStore(ck).open(dict(context, format="repro.train-ckpt/2")) \
+        .put("gan", payload)
     args[args.index("--iterations") + 1] = "20"      # train on from 10
     _expect_exit2(args + ["--resume"], capsys, ck)
+
+
+def _format_2_state(state):
+    """A network's checkpoint state in format 2's layout: weights and
+    biases per layer and one moment list per network, as float lists."""
+    def floats(text):
+        return np.frombuffer(base64.b64decode(text), "<f8")
+
+    params, offset, layers = floats(state["params"]), 0, []
+    for rows, cols in state["shapes"]:
+        end = offset + rows * cols
+        layers.append({"weights": params[offset:end].reshape(rows, cols)
+                       .tolist(),
+                       "bias": params[end:end + cols].tolist()})
+        offset = end + cols
+    optimizer = dict(state["optimizer"])
+    for key in ("m", "v"):
+        optimizer[key] = {i: floats(text).tolist()
+                          for i, text in optimizer[key].items()}
+    return {"layers": layers, "optimizer": optimizer}
 
 
 def test_train_resume_refuses_a_different_corpus_at_the_same_path(
