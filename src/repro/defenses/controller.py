@@ -28,9 +28,11 @@ import math
 from repro.obs import metrics, obs_event
 from repro.sim.config import DefenseMode
 
-# cached instrument handles: the controller decides once per sampling
-# window, and a served tenant pays this per window too, so each event
-# is one attribute increment instead of a registry name lookup
+# cached instrument handles: each event is one attribute increment
+# instead of a registry name lookup.  The three per-window counts are
+# added by :func:`publish_counts`, which each caller of ``decide`` runs
+# at its own cadence: the inline hook once per window, the serving
+# fan-out once per batch.
 _REG = metrics()
 _WINDOWS_TOTAL = _REG.counter("adaptive.windows.total")
 _WINDOWS_SECURE = _REG.counter("adaptive.windows.secure")
@@ -39,6 +41,20 @@ _SECURE_ENTRIES = _REG.counter("adaptive.secure.entries")
 _SECURE_EXITS = _REG.counter("adaptive.secure.exits")
 _DETECTOR_ERRORS = _REG.counter("adaptive.detector.errors")
 _LATCHES = _REG.counter("adaptive.fail_secure.latches")
+
+
+def publish_counts(windows, secure, flags):
+    """Add decided windows to the registry: ``windows`` decided,
+    ``secure`` of them run in secure mode, ``flags`` of them flagged.
+
+    :meth:`SecureModeController.decide` keeps these counts on the
+    controller only (``windows_total``, ``windows_secure``, ``flags``),
+    so a caller that decides many windows publishes them in one add
+    each instead of three per window.
+    """
+    _WINDOWS_TOTAL.inc(windows)
+    _WINDOWS_SECURE.inc(secure)
+    _FLAGS.inc(flags)
 
 
 def contain(fn, *args):
@@ -149,12 +165,19 @@ class SecureModeController:
     def __call__(self, machine, sample):
         """``detector_hook`` entry: the window's verdict through
         :func:`contain`, then :meth:`decide`, which latches on a fault.
-        A latched controller never consults the detector again."""
-        if self.latched:
-            return self.decide(machine, sample.commit_index, False)
-        verdict, fault = contain(self._verdict, sample)
-        return self.decide(machine, sample.commit_index, bool(verdict),
-                           fault)
+        A latched controller never consults the detector again.  The
+        window's counts reach the registry before this returns, also
+        when a fault raises (``fail_secure=False``)."""
+        secure, flags = self.windows_secure, self.flags
+        try:
+            if self.latched:
+                return self.decide(machine, sample.commit_index, False)
+            verdict, fault = contain(self._verdict, sample)
+            return self.decide(machine, sample.commit_index, bool(verdict),
+                               fault)
+        finally:
+            publish_counts(1, self.windows_secure - secure,
+                           self.flags - flags)
 
     def decide(self, machine, commit_index, flagged, fault=None):
         """Advance one window on a verdict already computed elsewhere.
@@ -166,19 +189,19 @@ class SecureModeController:
         Returns ``True`` when the window flagged.
 
         The batched serving path calls this directly, one window at a
-        time, so its verdicts, counters and events match the inline hook.
+        time, so its verdicts, events and secure entry, exit, latch and
+        error counters match the inline hook.  The window, secure-window
+        and flag counts stay on the controller until its caller
+        publishes them (:func:`publish_counts`).
         """
         self.windows_total += 1
-        _WINDOWS_TOTAL.inc()
         if self.latched:
             # fail-secure latch: every remaining window runs mitigated
             self.windows_secure += 1
-            _WINDOWS_SECURE.inc()
             return False
         counted_secure = self.active
         if counted_secure:
             self.windows_secure += 1
-            _WINDOWS_SECURE.inc()
             if commit_index >= self.secure_until:
                 self.active = False
                 machine.set_defense(DefenseMode.NONE)
@@ -189,11 +212,9 @@ class SecureModeController:
             self._latch(machine, type(fault).__name__, fault)
             if not counted_secure:   # the faulted window itself runs secure
                 self.windows_secure += 1
-                _WINDOWS_SECURE.inc()
             return False
         if flagged:
             self.flags += 1
-            _FLAGS.inc()
             self.secure_until = commit_index + self.secure_window
             if not self.active:
                 self.active = True

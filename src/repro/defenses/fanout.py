@@ -16,9 +16,14 @@ always-secure mode.  Sibling tenants keep their verdict streams
 bit-identical to a run where the faulty tenant never existed (scoring
 is batch-size-invariant per row, and controller state is per tenant) —
 pinned by ``tests/serve/test_tenant_isolation.py``.
+
+A slot decides without touching the metrics registry's per-window
+counts; :meth:`ControllerFanout.publish` adds what every tenant decided
+since its last call, so the serving layer pays three counter adds per
+batch instead of three per window.
 """
 
-from repro.defenses.controller import SecureModeController
+from repro.defenses.controller import SecureModeController, publish_counts
 from repro.sim.config import DefenseMode
 
 
@@ -98,6 +103,8 @@ class ControllerFanout:
         self.secure_mode = secure_mode
         self.secure_window = secure_window
         self.slots = {}
+        #: (windows, secure windows, flags) already in the registry
+        self._published = (0, 0, 0)
 
     def slot(self, tenant):
         slot = self.slots.get(tenant)
@@ -105,6 +112,22 @@ class ControllerFanout:
             slot = self.slots[tenant] = TenantSlot(
                 tenant, self.secure_mode, self.secure_window)
         return slot
+
+    def publish(self):
+        """Add the windows, secure windows and flags every tenant's
+        controller decided since the last call to the registry's
+        ``adaptive.*`` counters: one add each, whatever the window
+        count.  Reads each slot once, so it costs O(tenants)."""
+        windows = secure = flags = 0
+        for slot in self.slots.values():
+            controller = slot.controller
+            windows += controller.windows_total
+            secure += controller.windows_secure
+            flags += controller.flags
+        published = self._published
+        publish_counts(windows - published[0], secure - published[1],
+                       flags - published[2])
+        self._published = (windows, secure, flags)
 
     def latched_tenants(self):
         return sorted(t for t, s in self.slots.items() if s.latched)

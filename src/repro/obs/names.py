@@ -129,7 +129,14 @@ CATALOG = {
         "serve.windows.shed":
             ("counter", "windows dropped by backpressure (forced secure)"),
         "serve.batches": ("counter", "matrix-matrix score_batch calls"),
-        "serve.batch.seconds": ("timer", "wall-clock per scored batch"),
+        "serve.assemble.seconds":
+            ("timer", "per batch: dequeue the windows and stack them "
+                      "into one matrix"),
+        "serve.batch.seconds":
+            ("timer", "per batch: the score_batch call (the kernel)"),
+        "serve.fanout.seconds":
+            ("timer", "per batch: fault checks, thresholds and the "
+                      "per-window controller loop"),
         "serve.batch.max_windows":
             ("gauge", "largest batch scored this run"),
         "serve.queue.depth": ("gauge", "queued windows after the last "

@@ -29,9 +29,9 @@ Design rules, in order:
    *observability* (timers, percentile gauges), never the control flow.
 """
 
-import time
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from time import perf_counter
 
 import numpy as np
 
@@ -66,32 +66,45 @@ class LatencyReservoir:
 
     Bounded (``cap`` samples) so a long-running service cannot grow
     memory without limit; overflow is counted, not silently dropped.
-    The samples are sorted once per read-out, not once per percentile.
+    The samples live in one float64 buffer that doubles up to ``cap``,
+    and are sorted once per read-out (one ``np.sort``), not once per
+    percentile.
     """
 
     def __init__(self, cap=200_000):
         self.cap = cap
-        self.samples = []
+        self.count = 0
         self.overflow = 0
+        self._buffer = np.empty(0)
         self._ordered = None
+
+    @property
+    def samples(self):
+        """The kept latencies in arrival order, in seconds, as a list."""
+        return self._buffer[:self.count].tolist()
 
     def observe(self, seconds):
         """Record one latency, or a batch of them as an array."""
         values = np.atleast_1d(seconds)
-        room = max(0, self.cap - len(self.samples))
-        self.samples.extend(values[:room].tolist())
-        self.overflow += max(0, len(values) - room)
+        kept = values[:max(0, self.cap - self.count)]
+        end = self.count + len(kept)
+        if end > len(self._buffer):
+            grown = np.empty(min(self.cap, max(end, 2 * len(self._buffer))))
+            grown[:self.count] = self._buffer[:self.count]
+            self._buffer = grown
+        self._buffer[self.count:end] = kept
+        self.count = end
+        self.overflow += len(values) - len(kept)
         self._ordered = None
 
     def percentile_ms(self, p):
         """Nearest-rank percentile, in milliseconds (0.0 when empty)."""
-        if not self.samples:
+        if not self.count:
             return 0.0
         if self._ordered is None:
-            self._ordered = sorted(self.samples)
-        ordered = self._ordered
-        rank = max(1, int(np.ceil(p / 100.0 * len(ordered))))
-        return ordered[rank - 1] * 1000.0
+            self._ordered = np.sort(self._buffer[:self.count])
+        rank = max(1, int(np.ceil(p / 100.0 * self.count)))
+        return float(self._ordered[rank - 1]) * 1000.0
 
 
 class DetectionService:
@@ -100,6 +113,11 @@ class DetectionService:
     ``record=True`` additionally keeps per-tenant ``(commit_index,
     score, flagged)`` tuples — the isolation tests compare these streams
     bit-for-bit across chaos scenarios.
+
+    Per window the service does only what the verdict needs; the
+    window counts (ingested, and each controller's windows, secure
+    windows and flags) reach the metrics registry once per batch and at
+    :meth:`report`, so the end-of-run totals equal the per-window sums.
     """
 
     def __init__(self, detector, config=None, chaos=None, record=False):
@@ -111,23 +129,29 @@ class DetectionService:
                                        secure_window=self.config.secure_window)
         self.latency = LatencyReservoir()
         self.batch_sizes = {}
-        self.queue_peak = 0
         self.record = {} if record else None
-        self._queue = deque()
+        # the queue is four parallel lanes (tenant, commit index, window,
+        # enqueue stamp), one entry each per window: queuing a window
+        # allocates no tuple for the garbage collector to count and scan
+        self._lanes = ([], [], [], [])
+        self._queue_limit = self.config.queue_limit
+        self._queue_peak = 0
         self._latched_reported = set()
         # per-service totals: the global registry accumulates across
         # every service in the process, the report must not
-        self.n_ingested = 0
         self.n_scored = 0
         self.n_shed = 0
         self.n_batches = 0
         self.n_faults = 0
+        self._ingested_published = 0
         reg = metrics()
         self._m_ingested = reg.counter("serve.windows.ingested")
         self._m_scored = reg.counter("serve.windows.scored")
         self._m_shed = reg.counter("serve.windows.shed")
         self._m_batches = reg.counter("serve.batches")
+        self._m_assemble_s = reg.timer("serve.assemble.seconds")
         self._m_batch_s = reg.timer("serve.batch.seconds")
+        self._m_fanout_s = reg.timer("serve.fanout.seconds")
         self._m_faults = reg.counter("serve.detector.faults")
         self._m_depth = reg.gauge("serve.queue.depth")
         self._m_peak = reg.gauge("serve.queue.peak")
@@ -136,13 +160,30 @@ class DetectionService:
 
     @property
     def pending(self):
-        return len(self._queue)
+        return len(self._lanes[0])
+
+    @property
+    def n_ingested(self):
+        """Windows accepted into the queue: each is scored exactly once,
+        so those scored plus those still queued."""
+        return self.n_scored + self.pending
+
+    @property
+    def queue_peak(self):
+        """High-water mark of queued windows.  The queue grows only in
+        :meth:`submit` and shrinks only in :meth:`process_batch`, which
+        records its depth before taking a batch."""
+        return max(self._queue_peak, self.pending)
 
     def submit(self, tenant, commit_index, window):
-        """Queue one window, or shed it into secure mode on overflow."""
-        queue = self._queue
-        depth = len(queue)
-        if depth >= self.config.queue_limit:
+        """Queue one window, or shed it into secure mode on overflow.
+
+        Each queued window carries its own enqueue stamp, so latency is
+        enqueue-to-verdict per window.  The ingest counter reaches the
+        registry per batch (:meth:`_publish`), not per window."""
+        tenants, commits, windows, enqueued = self._lanes
+        depth = len(tenants)
+        if depth >= self._queue_limit:
             self.n_shed += 1
             self._m_shed.inc()
             slot = self.fanout.slot(tenant)
@@ -151,11 +192,10 @@ class DetectionService:
                       commit_index=commit_index, depth=depth)
             self._note_latch(slot)
             return False
-        queue.append((tenant, commit_index, window, time.perf_counter()))
-        self.n_ingested += 1
-        self._m_ingested.inc()
-        if depth >= self.queue_peak:
-            self.queue_peak = depth + 1
+        tenants.append(tenant)
+        commits.append(commit_index)
+        windows.append(window)
+        enqueued.append(perf_counter())
         return True
 
     # -- scoring -----------------------------------------------------------
@@ -213,29 +253,42 @@ class DetectionService:
                       tenant=slot.tenant,
                       reason=slot.controller.latch_reason)
 
+    def _publish(self):
+        """Add the windows ingested and decided since the last call to
+        the registry: one add per counter, whatever the window count."""
+        self.fanout.publish()
+        self._m_ingested.inc(self.n_ingested - self._ingested_published)
+        self._ingested_published = self.n_ingested
+
     def process_batch(self):
         """Coalesce up to ``batch_window`` queued windows into one
         matrix-matrix scoring pass and apply per-tenant decisions."""
-        queue = self._queue
-        take = min(len(queue), self.config.batch_window)
+        depth = self.pending
+        take = min(depth, self.config.batch_window)
         if not take:
             return 0
-        tenants, commits, windows, enqueued = zip(
-            *[queue.popleft() for _ in range(take)])
+        self._queue_peak = max(self._queue_peak, depth)
+        start = perf_counter()
+        tenants, commits, windows, enqueued = [_take(lane, take)
+                                               for lane in self._lanes]
         X = np.array(windows)
+        self._m_assemble_s.observe(perf_counter() - start)
         with self._m_batch_s.time():
             scores, raised = self._score(X)
-        now = time.perf_counter()
+        now = perf_counter()
         faults = self._window_faults(X, scores, raised)
         flags = (scores >= self.threshold).tolist()
+        row_faults = ([faults.get(i) for i in range(take)] if faults
+                      else repeat(None, take))
         record = self.record
         if record is not None:
-            score_values = scores.tolist()
+            score_values = iter(scores.tolist())
+        slots = self.fanout.slots
         slot_of = self.fanout.slot
-        for i, tenant in enumerate(tenants):
-            slot = slot_of(tenant)
-            fault = faults.get(i)
-            flagged = slot.apply(commits[i], flags[i], fault)
+        for tenant, commit_index, flag, fault in zip(tenants, commits, flags,
+                                                     row_faults):
+            slot = slots.get(tenant) or slot_of(tenant)
+            flagged = slot.apply(commit_index, flag, fault)
             if fault is not None:
                 self.n_faults += 1
                 self._m_faults.inc()
@@ -244,20 +297,22 @@ class DetectionService:
                 self._note_latch(slot)
             if record is not None:
                 record.setdefault(tenant, []).append(
-                    (commits[i], score_values[i], flagged))
+                    (commit_index, next(score_values), flagged))
+        self._m_fanout_s.observe(perf_counter() - now)
         self.latency.observe(now - np.array(enqueued))
         self.n_scored += take
         self._m_scored.inc(take)
         self.n_batches += 1
         self._m_batches.inc()
+        self._publish()
         self.batch_sizes[take] = self.batch_sizes.get(take, 0) + 1
-        self._m_depth.set(len(queue))
+        self._m_depth.set(self.pending)
         self._m_peak.set(self.queue_peak)
         return take
 
     def drain(self):
         """Score everything still queued (end of stream)."""
-        while self._queue:
+        while self.pending:
             self.process_batch()
 
     # -- reporting ---------------------------------------------------------
@@ -265,6 +320,7 @@ class DetectionService:
     def report(self, elapsed_s=None):
         """Deterministically-ordered plain-dict run report (JSON-safe,
         modulo the wall-clock latency/throughput fields)."""
+        self._publish()
         reg = metrics()
         scored = self.n_scored
         p50 = self.latency.percentile_ms(50)
@@ -296,7 +352,7 @@ class DetectionService:
             },
             "latency_ms": {
                 "p50": p50, "p95": p95, "p99": p99,
-                "samples": len(self.latency.samples),
+                "samples": self.latency.count,
                 "overflow": self.latency.overflow,
             },
             "detector_faults": self.n_faults,
@@ -309,6 +365,13 @@ class DetectionService:
                 "windows_per_sec": scored / elapsed_s if elapsed_s else 0.0,
             }
         return report
+
+
+def _take(lane, n):
+    """Remove and return the first ``n`` entries of one queue lane."""
+    head = lane[:n]
+    del lane[:n]
+    return head
 
 
 def run_serve(detector, streams, config=None, chaos=None, record=False):
@@ -325,19 +388,26 @@ def run_serve(detector, streams, config=None, chaos=None, record=False):
     obs_event("serve.started", tenants=len(streams),
               duration=config.duration, batch_window=config.batch_window,
               queue_limit=config.queue_limit)
-    start = time.perf_counter()
+    # every stream's tenant and bound ``next_window`` resolved once, and
+    # the queue read directly: the loop below runs once per window
+    feeds = [(stream.tenant, stream.next_window) for stream in streams]
+    submit, process_batch = service.submit, service.process_batch
+    queued, batch_window = service._lanes[0], config.batch_window
+    start = perf_counter()
     for tick in range(config.duration):
-        for stream in streams:
-            emits = chaos.emit_count(stream.tenant, tick) if chaos else 1
-            for _ in range(emits):
-                commit_index, window = stream.next_window()
-                if chaos:
-                    window = chaos.poison(stream.tenant, tick, window)
-                service.submit(stream.tenant, commit_index, window)
-        while service.pending >= config.batch_window:
-            service.process_batch()
+        for tenant, next_window in feeds:
+            if chaos is None:
+                commit_index, window = next_window()
+                submit(tenant, commit_index, window)
+                continue
+            for _ in range(chaos.emit_count(tenant, tick)):
+                commit_index, window = next_window()
+                submit(tenant, commit_index,
+                       chaos.poison(tenant, tick, window))
+        while len(queued) >= batch_window:
+            process_batch()
     service.drain()
-    elapsed = time.perf_counter() - start
+    elapsed = perf_counter() - start
     report = service.report(elapsed_s=elapsed)
     obs_event("serve.finished",
               ingested=report["windows"]["ingested"],

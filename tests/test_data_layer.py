@@ -61,6 +61,53 @@ class TestSchema:
         schema = FeatureSchema()
         assert schema.matrix([]).shape == (0, 145)
 
+    @pytest.mark.parametrize("base", ["default", "perspectron", "reversed",
+                                      "scattered"])
+    def test_raw_matrix_matches_raw_vector_for_any_layout(self, base):
+        """``raw_matrix`` copies the base block in runs of consecutive
+        counters and chains ``np.minimum`` over each AND-feature's
+        members: whatever the runs and member counts, each finite row
+        must equal the per-window ``raw_vector``, and the whole matrix,
+        NaN and -0.0 included, a gather plus ``np.minimum.reduce``."""
+        from repro.core.perceptron import perspectron_schema
+
+        bases = {
+            "default": BASE_FEATURES,
+            "perspectron": perspectron_schema().base_features,
+            "reversed": BASE_FEATURES[::-1],
+            "scattered": BASE_FEATURES[::3] + BASE_FEATURES[1::7],
+        }
+        engineered = (
+            ("sec.one", ("dcache.hits",)),
+            ("sec.two", ("dcache.hits", "dcache.misses")),
+            ("sec.three", ("commit.traps", "dcache.misses",
+                           "rename.undoneMaps")),
+        )
+        schema = FeatureSchema(engineered=engineered, base=bases[base])
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 50, size=(40, len(COUNTER_NAMES))).astype(float)
+        X[5, CounterBank.index_of("dcache.misses")] = float("nan")
+        X[6, CounterBank.index_of("dcache.hits")] = -0.0
+        matrix = schema.raw_matrix(X)
+        assert matrix.shape == (40, schema.dim)
+        for i in range(len(X)):
+            if i != 5:   # Python's min drops a NaN that is not first
+                np.testing.assert_array_equal(matrix[i],
+                                              schema.raw_vector(X[i]))
+        base = [CounterBank.index_of(n) for n in schema.base_features]
+        reference = np.hstack([np.take(X, base, axis=1)] + [
+            np.minimum.reduce([X[:, CounterBank.index_of(c)]
+                               for c in combo])[:, None]
+            for _, combo in engineered])
+        np.testing.assert_array_equal(matrix, reference)
+        assert np.isnan(matrix[5]).any()
+        assert np.array_equal(np.signbit(matrix), np.signbit(reference))
+
+    def test_raw_matrix_rejects_windows_too_narrow(self):
+        schema = FeatureSchema()
+        with pytest.raises(IndexError, match="counter"):
+            schema.raw_matrix(np.zeros((2, len(COUNTER_NAMES) - 1)))
+
 
 class TestNormalizer:
     def test_scales_to_unit_max(self):

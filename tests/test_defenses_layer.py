@@ -6,7 +6,7 @@ from repro.defenses import (
     DEFENSE_CONFIGS, DefensePolicy, SecureModeController, measure_overhead,
     run_workload,
 )
-from repro.defenses.fanout import TenantSlot, VirtualCore
+from repro.defenses.fanout import ControllerFanout, VirtualCore
 from repro.obs import metrics
 from repro.sim.config import DefenseMode
 from repro.sim.sampler import Sample
@@ -163,7 +163,10 @@ class TestEntryPointEquivalence:
     """``__call__`` (the inline detector hook) and ``TenantSlot.apply``
     (a precomputed verdict, as the serving path delivers it) drive one
     state machine: the same script must decide the same way, window by
-    window."""
+    window.  A slot leaves the window, secure-window and flag counts to
+    its fan-out's ``publish``, which the serving path calls per batch;
+    here it runs after every window, so the registry must move exactly
+    as the inline hook moves it."""
 
     STATE = ("flags", "windows_secure", "windows_total", "active",
              "secure_until", "latched", "latch_reason", "detector_errors")
@@ -228,7 +231,7 @@ class TestEntryPointEquivalence:
             script, lambda c, _: inline(machine, window(c)),
             inline, machine)
 
-        def precomputed(commit_index, outcome):
+        def apply(commit_index, outcome):
             if outcome == "raise":
                 return slot.apply(commit_index, False,
                                   RuntimeError("detector wedged"))
@@ -237,7 +240,13 @@ class TestEntryPointEquivalence:
                     f"non-finite detector score {float('nan')!r}"))
             return slot.apply(commit_index, outcome)
 
-        slot = TenantSlot("t0", DefenseMode.FENCE_SPECTRE, 500)
+        def precomputed(commit_index, outcome):
+            flagged = apply(commit_index, outcome)
+            fanout.publish()
+            return flagged
+
+        fanout = ControllerFanout(DefenseMode.FENCE_SPECTRE, 500)
+        slot = fanout.slot("t0")
         slot_trace, slot_deltas = self._drive(
             script, precomputed, slot.controller, slot.core)
 
